@@ -1,12 +1,23 @@
-//! Compiled twig execution — query→automaton lowering.
+//! Compiled twig execution — query→automaton lowering and the ε-NoK
+//! matcher (Algorithm 1).
 //!
-//! [`FragmentMatcher`](crate::matcher::FragmentMatcher) re-derives per-query
-//! facts on every candidate: it chases `PatternTree` child vectors through
-//! pointer-sized `PNodeId` indirections, re-filters each pattern node's
-//! children by axis into fresh `Vec`s on every `enum_node` call, and decides
-//! page-skips with a per-candidate binary search plus codebook probe. This
-//! module lowers a parsed [`QueryPlan`] **once** into a [`CompiledPlan`] — a
-//! flat, cache-friendly automaton:
+//! A fragment match starts from a candidate data node for the fragment root
+//! (seeded by the engine from a tag index) and proceeds by top-down
+//! navigation: `FIRST-CHILD` / `FOLLOWING-SIBLING` over the block-oriented
+//! encoding, exactly as in the paper. The data children of each matched node
+//! are scanned **once**; in secure mode each loaded child's accessibility is
+//! checked from the code on its own page (`ACCESS(u)`, Algorithm 1 line 6)
+//! and inaccessible children are never recursed into — which is sound for
+//! the binding-level (Cho et al.) semantics because an inaccessible node
+//! cannot participate in any surviving binding. Where Algorithm 1 reports
+//! existence plus the returning node's matches, the matcher enumerates the
+//! distinct tuples over the fragment's *output* pattern nodes (fragment
+//! root / join anchors / returning node), which is what the structural-join
+//! stage consumes; pattern children whose subtree carries no output are
+//! matched existentially with early exit.
+//!
+//! Per-query facts are derived **once**: a parsed [`QueryPlan`] is lowered
+//! into a [`CompiledPlan`] — a flat, cache-friendly automaton:
 //!
 //! * per pattern node, one [`CNode`] record with the tag **pre-resolved** to a
 //!   [`TagId`] (integer compare, no string hashing), the value predicate
@@ -19,12 +30,11 @@
 //!   cached plan is revalidated in O(1) against any snapshot (the interner is
 //!   append-only: equal length ⇒ identical resolution).
 //!
-//! [`CompiledMatcher`] executes the automaton with semantics **identical** to
-//! the interpreted matcher (the differential property test in
-//! `tests/proptest_compiled.rs` enforces this), including the fail-closed
-//! policy and the deadline check every
-//! [`DEADLINE_CHECK_MASK`](crate::matcher)` + 1` node visits. Page-skips are
-//! decided from a precomputed word-parallel skip mask
+//! [`CompiledMatcher`] executes the automaton under the fail-closed policy,
+//! with the deadline checked every [`DEADLINE_CHECK_MASK`]` + 1` node visits;
+//! the differential property test in `tests/proptest_compiled.rs` checks its
+//! answers against the naive reference evaluator ([`crate::reference`]).
+//! Page-skips are decided from a precomputed word-parallel skip mask
 //! ([`dol_core::EmbeddedDol::block_skip_mask`]) instead of a per-candidate
 //! codebook probe.
 //!
@@ -40,13 +50,103 @@
 //! §3.3 page-skip into a general early-exit inside partially-accessible
 //! blocks.
 
-use crate::matcher::{is_availability, Binding, MatchContext, MatchStats, DEADLINE_CHECK_MASK};
 use crate::pattern::{Axis, PNodeId};
 use crate::plan::QueryPlan;
-use dol_core::AccessBitmap;
+use dol_acl::SubjectId;
+use dol_core::{AccessBitmap, EmbeddedDol, SubjectColumn};
 use dol_storage::disk::StorageError;
-use dol_storage::{BlockSnapshot, NodeRec, StructStore};
+use dol_storage::{BlockSnapshot, Deadline, NodeRec, StructStore, ValueStore};
 use dol_xml::{TagId, TagInterner};
+use std::sync::Arc;
+
+/// A partial result: data positions bound to output pattern nodes,
+/// ascending by pattern node id.
+pub type Binding = Vec<(PNodeId, u64)>;
+
+/// Whether `e` is an *availability* outcome — the caller's deadline expired
+/// (or was cancelled), or the buffer pool's circuit breaker refused the
+/// operation. These must never be masked by the fail-closed policy: masking
+/// would silently shrink a secure answer, whereas the contract of a timed-out
+/// or breaker-refused query is a typed error and *no* answer.
+#[inline]
+pub(crate) fn is_availability(e: &StorageError) -> bool {
+    matches!(
+        e,
+        StorageError::DeadlineExceeded | StorageError::BreakerOpen
+    )
+}
+
+/// Deadline checks piggy-back on node loads, once every this many visited
+/// nodes (power of two; the check itself is an atomic load plus, for real
+/// deadlines, one `Instant::now()`).
+pub(crate) const DEADLINE_CHECK_MASK: u64 = 0xFF;
+
+/// Everything a fragment match needs to read.
+pub struct MatchContext<'a> {
+    /// The structural block store.
+    pub store: &'a StructStore,
+    /// Character data (for value predicates).
+    pub values: &'a ValueStore,
+    /// `Some((dol, subject))` enables ε-NoK accessibility checking.
+    pub access: Option<(&'a EmbeddedDol, SubjectId)>,
+    /// Decoded accessibility column for the subject, shared by every matcher
+    /// of one evaluation. When present, the per-node check is a single
+    /// shift-and-mask on an immutable snapshot — no codebook lock, no
+    /// ACL-entry read.
+    pub column: Option<Arc<SubjectColumn>>,
+    /// The evaluation's cooperative time budget, checked between node loads
+    /// (every [`DEADLINE_CHECK_MASK`]` + 1` visits). Defaults to
+    /// [`Deadline::never`]; expiry surfaces as
+    /// [`StorageError::DeadlineExceeded`] and is never fail-closed-masked.
+    pub deadline: Deadline,
+}
+
+impl<'a> MatchContext<'a> {
+    /// Builds a context, decoding the subject's column once up front when
+    /// access control is attached.
+    pub fn new(
+        store: &'a StructStore,
+        values: &'a ValueStore,
+        access: Option<(&'a EmbeddedDol, SubjectId)>,
+    ) -> Self {
+        let column = access.map(|(dol, s)| dol.column(s));
+        Self {
+            store,
+            values,
+            access,
+            column,
+            deadline: Deadline::never(),
+        }
+    }
+
+    /// Whether the node whose code is `code` is accessible (always true in
+    /// unsecured mode).
+    #[inline]
+    pub fn code_accessible(&self, code: u32) -> bool {
+        match (&self.column, self.access) {
+            (Some(col), _) => col.check_code(code),
+            (None, Some((dol, s))) => dol.check_code(code, s),
+            (None, None) => true,
+        }
+    }
+}
+
+/// Counters accumulated during matching.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct MatchStats {
+    /// Data nodes loaded (structure + piggy-backed code).
+    pub nodes_visited: u64,
+    /// Nodes rejected by the accessibility check.
+    pub nodes_denied: u64,
+    /// Candidate roots rejected without any page read thanks to the
+    /// in-memory block-header skip test.
+    pub candidates_block_skipped: u64,
+    /// Reads that failed (corrupt or unreadable page) during secure
+    /// evaluation and were treated as entirely inaccessible instead of
+    /// aborting — the fail-closed policy. Always 0 in unsecured mode, where
+    /// storage errors propagate to the caller.
+    pub blocks_failed_closed: u64,
+}
 
 /// One pattern node, lowered: everything `node_matches`/`enum_node` need,
 /// flat and resolved.
@@ -239,10 +339,8 @@ impl CompiledPlan {
     }
 }
 
-/// Executes one compiled fragment. Mirrors
-/// [`FragmentMatcher`](crate::matcher::FragmentMatcher) exactly — same
-/// answers, same fail-closed policy, same deadline cadence — but with flat
-/// table lookups, no per-call axis filtering, and word-mask page-skips.
+/// Executes one compiled fragment (ε-NoK): flat table lookups, no per-call
+/// axis filtering, and word-mask page-skips.
 pub struct CompiledMatcher<'a> {
     ctx: &'a MatchContext<'a>,
     frag: &'a CompiledFragment,
@@ -369,6 +467,11 @@ impl<'a> CompiledMatcher<'a> {
         self.frag.nodes[p.index()].is_output || (self.force_root_output && p == self.frag.root)
     }
 
+    /// Whether storage failures must be masked as inaccessibility. Secure
+    /// evaluation (ε-NoK) may never answer with data it could not verify, so
+    /// a corrupt or unreadable block simply hides its nodes — the answer can
+    /// only shrink, never leak. Unsecured evaluation has nothing to protect
+    /// and reports the error instead.
     #[inline]
     fn fail_closed(&self) -> bool {
         self.ctx.access.is_some()
@@ -419,9 +522,9 @@ impl<'a> CompiledMatcher<'a> {
         Ok(Some((snap.node(slot), snap.code(slot))))
     }
 
-    /// See [`FragmentMatcher::load_node`](crate::matcher::FragmentMatcher):
-    /// fail-closed on data faults, availability outcomes propagate, deadline
-    /// re-checked every `DEADLINE_CHECK_MASK + 1` visits.
+    /// Loads a node record and its piggy-backed code: fail-closed on data
+    /// faults (`Ok(None)`, "treat as inaccessible"), availability outcomes
+    /// propagate, deadline re-checked every `DEADLINE_CHECK_MASK + 1` visits.
     fn load_node(&mut self, pos: u64) -> Result<Option<(NodeRec, u32)>, StorageError> {
         if self.stats.nodes_visited & DEADLINE_CHECK_MASK == 0 {
             self.ctx.deadline.check()?;
@@ -429,22 +532,25 @@ impl<'a> CompiledMatcher<'a> {
         self.fetch(pos)
     }
 
+    /// FOLLOWING-SIBLING with the fail-closed policy: an unreadable next
+    /// record truncates the sibling chain instead of aborting.
     fn next_sibling(&mut self, pos: u64, rec: &NodeRec) -> Result<Option<u64>, StorageError> {
         let next = pos + u64::from(rec.size);
         if next >= self.ctx.store.total_nodes() {
             return Ok(None);
         }
         // The sibling test only needs the next record's depth, served from
-        // the block cache (the interpreted path pays a page latch here).
+        // the block cache.
         match self.fetch(next)? {
             Some((nrec, _)) => Ok((nrec.depth == rec.depth).then_some(next)),
             None => Ok(None),
         }
     }
 
-    /// Attempts to match the fragment with its root bound to `pos`;
-    /// compiled twin of
-    /// [`FragmentMatcher::match_root`](crate::matcher::FragmentMatcher::match_root).
+    /// Attempts to match the fragment with its root bound to `pos`.
+    /// Returns the distinct output bindings (empty = no match). The
+    /// candidate's own tag/value/accessibility are (re)checked here, after
+    /// the §3.3 page-skip test on its block.
     pub fn match_root(&mut self, pos: u64) -> Result<Vec<Binding>, StorageError> {
         if !self.frag.satisfiable {
             return Ok(Vec::new());
@@ -507,9 +613,14 @@ impl<'a> CompiledMatcher<'a> {
         Ok(true)
     }
 
-    /// Enumerates output bindings for `pnode` matched at `pos` — the
-    /// compiled inner loop: kin ranges are slices of the flat table, no
-    /// per-call filtering or allocation beyond the binding sets themselves.
+    /// Enumerates output bindings for `pnode` matched at `pos` (whose
+    /// tag/value/access checks already passed): the data children are
+    /// scanned once for the child-axis pattern children (Algorithm 1's
+    /// repeat loop over FIRST-CHILD/FOLLOWING-SIBLING), the node's own
+    /// following siblings for the sibling-axis ones, and the per-pattern-node
+    /// binding sets are cross-multiplied onto the node's own binding. Kin
+    /// ranges are slices of the flat table — no per-call filtering or
+    /// allocation beyond the binding sets themselves.
     fn enum_node(
         &mut self,
         pnode: PNodeId,
@@ -562,8 +673,10 @@ impl<'a> CompiledMatcher<'a> {
         Ok(acc)
     }
 
-    /// Compiled twin of the interpreted `scan_kin`: matches `pats` against
-    /// the FOLLOWING-SIBLING chain from `start`.
+    /// Matches the pattern nodes `pats` against the data-node chain starting
+    /// at `start` and linked by FOLLOWING-SIBLING, with per-node
+    /// accessibility checks. Returns `None` if some pattern node found no
+    /// witness, else one binding set per pattern node.
     fn scan_kin(
         &mut self,
         pats: &[PNodeId],
@@ -577,12 +690,15 @@ impl<'a> CompiledMatcher<'a> {
         let mut satisfied: Vec<bool> = vec![false; pats.len()];
         let mut u = start;
         while let Some(upos) = u {
+            // Fail-closed: an unreadable link truncates the kin chain — the
+            // remaining siblings are unreachable, hence hidden.
             let Some((urec, ucode)) = self.load_node(upos)? else {
                 break;
             };
             self.stats.nodes_visited += 1;
             if self.ctx.code_accessible(ucode) {
                 for (i, &c) in pats.iter().enumerate() {
+                    // Existential pattern nodes stop at the first witness.
                     if satisfied[i] && !frag.nodes[c.index()].carries_output {
                         continue;
                     }
@@ -597,6 +713,8 @@ impl<'a> CompiledMatcher<'a> {
             } else {
                 self.stats.nodes_denied += 1;
             }
+            // Early exit once everything is satisfied and no further scan
+            // can add output bindings.
             if satisfied.iter().all(|&s| s)
                 && pats.iter().all(|&c| !frag.nodes[c.index()].carries_output)
             {
@@ -811,7 +929,7 @@ impl<'a> CompiledMatcher<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matcher::FragmentMatcher;
+    use crate::reference::{naive_eval_str, RefSecurity};
     use crate::xpath::parse_query;
     use dol_acl::{AccessibilityMap, FnOracle, SubjectId};
     use dol_core::EmbeddedDol;
@@ -852,51 +970,78 @@ mod tests {
     }
 
     fn ctx<'a>(f: &'a Fixture, secure: Option<SubjectId>) -> MatchContext<'a> {
-        MatchContext::new(
-            &f.store,
-            &f.values,
-            f.doc.tags(),
-            secure.map(|s| (&f.dol, s)),
-            true,
-        )
+        MatchContext::new(&f.store, &f.values, secure.map(|s| (&f.dol, s)))
     }
 
-    /// Compiled and interpreted matchers agree binding-for-binding on the
-    /// same candidates, secure and not.
-    fn assert_agree(f: &Fixture, query: &str, secure: Option<SubjectId>, candidates: &[u64]) {
+    /// Matches a single-fragment query from every candidate position (only
+    /// the document root when anchored), projects the bindings on the
+    /// returning node, asserts that answer equals the reference evaluator's
+    /// over the same document and map, and returns it.
+    fn assert_agree(
+        f: &Fixture,
+        map: Option<&AccessibilityMap>,
+        query: &str,
+        secure: Option<SubjectId>,
+    ) -> Vec<u64> {
         let plan = QueryPlan::new(parse_query(query).unwrap());
+        assert_eq!(plan.trees.len(), 1, "{query}: one NoK fragment expected");
         let compiled = CompiledPlan::compile(&plan, f.doc.tags());
         let c = ctx(f, secure);
         let mask = c
             .column
             .as_ref()
             .map(|col| f.dol.block_skip_mask(&f.store, col));
-        for ti in 0..plan.trees.len() {
-            let mut im = FragmentMatcher::new(&c, &plan, ti);
-            let mut cm = CompiledMatcher::new(&c, compiled.fragment(ti), false, mask.as_deref());
-            for &cand in candidates {
-                let a = im.match_root(cand).unwrap();
-                let b = cm.match_root(cand).unwrap();
-                assert_eq!(a, b, "query {query} fragment {ti} candidate {cand}");
+        let mut m = CompiledMatcher::new(&c, compiled.fragment(0), false, mask.as_deref());
+        let candidates: Vec<u64> = if plan.pattern.anchored() {
+            vec![0]
+        } else {
+            (0..f.store.total_nodes()).collect()
+        };
+        let returning = plan.pattern.returning();
+        let mut got = Vec::new();
+        for cand in candidates {
+            for b in m.match_root(cand).unwrap() {
+                got.extend(b.iter().filter(|&&(p, _)| p == returning).map(|&(_, d)| d));
             }
         }
+        got.sort_unstable();
+        got.dedup();
+        let sec = match secure {
+            Some(s) => RefSecurity::Binding(map.expect("secure check needs the map"), s),
+            None => RefSecurity::None,
+        };
+        let want = naive_eval_str(&f.doc, query, sec);
+        assert_eq!(got, want, "query {query} secure {secure:?}");
+        got
     }
 
     const FIG2: &str = "<a><b/><c/><d/><e><f/><g/><h><i/><j/><k/><l/></h></e></a>";
+    // positions: a=0 b=1 c=2 d=3 e=4 f=5 g=6 h=7 i=8 j=9 k=10 l=11
 
     #[test]
-    fn compiled_matches_interpreted_on_figure_2() {
+    fn compiled_matches_reference_on_figure_2() {
         let f = fixture(FIG2, None, 300);
-        let all: Vec<u64> = (0..f.store.total_nodes()).collect();
-        for q in ["/a[b][c]", "//h[j][k]/l", "/a/*", "//h[j][k]/m", "//nosuch"] {
-            assert_agree(&f, q, None, &all);
+        for (q, want) in [
+            ("/a[b][c]", vec![0]),
+            ("//h[j][k]/l", vec![11]),
+            ("/a/*", vec![1, 2, 3, 4]),
+            // A missing branch fails the whole fragment.
+            ("//h[j][k]/m", vec![]),
+            ("/a[b][zz]", vec![]),
+            // A tag absent from the document short-circuits.
+            ("//nosuch", vec![]),
+        ] {
+            assert_eq!(assert_agree(&f, None, q, None), want, "{q}");
         }
+        // Every binding of a multi-match fragment is enumerated.
+        let f = fixture("<r><x><n/></x><x><n/><n/></x></r>", None, 300);
+        assert_eq!(assert_agree(&f, None, "//x/n", None), vec![2, 4, 5]);
     }
 
     #[test]
-    fn compiled_matches_interpreted_secure() {
+    fn compiled_matches_reference_secure() {
         let doc = parse(FIG2).unwrap();
-        let mut map = AccessibilityMap::new(2, doc.len());
+        let mut map = AccessibilityMap::new(3, doc.len());
         for p in 0..doc.len() as u32 {
             map.set(SubjectId(0), NodeId(p), true);
         }
@@ -904,14 +1049,29 @@ mod tests {
         for p in 7..12 {
             map.set(SubjectId(1), NodeId(p), true); // subject 1 sees only h's subtree
         }
+        map.set(SubjectId(2), NodeId(0), true); // subject 2 sees only the root
         for max_rec in [300, 3, 2] {
             let f = fixture(FIG2, Some(&map), max_rec);
-            let all: Vec<u64> = (0..f.store.total_nodes()).collect();
-            for s in [SubjectId(0), SubjectId(1)] {
-                for q in ["//h[j][k]/l", "//h[k]/l", "/a[b][c]", "//h/*"] {
-                    assert_agree(&f, q, Some(s), &all);
+            for s in [
+                None,
+                Some(SubjectId(0)),
+                Some(SubjectId(1)),
+                Some(SubjectId(2)),
+            ] {
+                for q in ["//h[j][k]/l", "//h[k]/l", "/a[b][c]", "//h/*", "//h", "/a"] {
+                    assert_agree(&f, Some(&map), q, s);
                 }
             }
+            // A denied bound node prunes the match; unbound nodes and
+            // unsecured evaluation are unaffected.
+            let s0 = Some(SubjectId(0));
+            assert!(assert_agree(&f, Some(&map), "//h[j][k]/l", s0).is_empty());
+            assert_eq!(assert_agree(&f, Some(&map), "//h[k]/l", s0), vec![11]);
+            assert_eq!(assert_agree(&f, Some(&map), "//h[j][k]/l", None), vec![11]);
+            // A denied candidate root fails fast.
+            let s2 = Some(SubjectId(2));
+            assert!(assert_agree(&f, Some(&map), "//h", s2).is_empty());
+            assert_eq!(assert_agree(&f, Some(&map), "/a", s2), vec![0]);
         }
     }
 
@@ -922,12 +1082,14 @@ mod tests {
             None,
             300,
         );
-        let all: Vec<u64> = (0..f.store.total_nodes()).collect();
-        assert_agree(&f, "//item[name=\"gold\"]", None, &all);
+        assert_eq!(
+            assert_agree(&f, None, "//item[name=\"gold\"]", None),
+            vec![1]
+        );
     }
 
     #[test]
-    fn leaf_fast_path_matches_interpreted() {
+    fn leaf_fast_path_matches_document() {
         let doc = parse(FIG2).unwrap();
         let mut map = AccessibilityMap::new(1, doc.len());
         for p in [0u32, 4, 7, 8, 9, 10, 11] {
@@ -935,7 +1097,6 @@ mod tests {
         }
         for max_rec in [300, 3, 2] {
             let f = fixture(FIG2, Some(&map), max_rec);
-            let all: Vec<u64> = (0..f.store.total_nodes()).collect();
             let plan = QueryPlan::new(parse_query("//h//j").unwrap());
             let compiled = CompiledPlan::compile(&plan, f.doc.tags());
             for secure in [None, Some(SubjectId(0))] {
@@ -947,23 +1108,25 @@ mod tests {
                 for ti in 0..plan.trees.len() {
                     let frag = compiled.fragment(ti);
                     assert!(frag.is_leaf());
-                    // Interpreted reference over every position with the
-                    // fragment's tag.
-                    let mut im = FragmentMatcher::new(&c, &plan, ti);
-                    let mut want = Vec::new();
-                    for &cand in &all {
-                        let rec = f.store.node(cand).unwrap();
-                        if Some(rec.tag) != frag.root_tag() {
-                            continue;
-                        }
-                        want.extend(im.match_root(cand).unwrap());
-                    }
-                    want.sort_unstable();
-                    want.dedup();
-                    let tagged: Vec<u64> = all
+                    let root = frag.root();
+                    assert!(frag.node(root).is_output, "join anchor or returning node");
+                    // The reference, straight from the document and map:
+                    // every node with the fragment's tag that the subject
+                    // may read.
+                    let name = plan.pattern.node(root).tag.as_deref().unwrap();
+                    let tagged: Vec<u64> = f
+                        .doc
+                        .preorder()
+                        .filter(|&d| f.doc.name_of(d) == name)
+                        .map(|d| u64::from(d.0))
+                        .collect();
+                    let want: Vec<Binding> = tagged
                         .iter()
-                        .copied()
-                        .filter(|&p| Some(f.store.node(p).unwrap().tag) == frag.root_tag())
+                        .filter(|&&p| match secure {
+                            Some(s) => map.accessible(s, NodeId(p as u32)),
+                            None => true,
+                        })
+                        .map(|&p| vec![(root, p)])
                         .collect();
                     let mut cm = CompiledMatcher::new(&c, frag, false, mask.as_deref());
                     let mut snaps = SnapshotCache::new(f.store.block_count());
@@ -996,6 +1159,61 @@ mod tests {
         let got = cm.match_leaf_candidates(&tagged, &mut snaps).unwrap();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0], vec![(PNodeId(0), 2)]);
+    }
+
+    #[test]
+    fn block_skip_counts() {
+        // Deny everything: with tiny blocks every candidate is rejected from
+        // the precomputed skip mask, on both the tree walk and the leaf fast
+        // path, without touching a page.
+        let doc = parse(FIG2).unwrap();
+        let map = AccessibilityMap::new(1, doc.len());
+        let f = fixture(FIG2, Some(&map), 2);
+        let plan = QueryPlan::new(parse_query("//h").unwrap());
+        let compiled = CompiledPlan::compile(&plan, f.doc.tags());
+        let c = ctx(&f, Some(SubjectId(0)));
+        let mask = f.dol.block_skip_mask(&f.store, c.column.as_ref().unwrap());
+        let mut m = CompiledMatcher::new(&c, compiled.fragment(0), false, Some(&mask));
+        f.store.pool().reset_stats();
+        assert!(m.match_root(7).unwrap().is_empty());
+        assert_eq!(m.stats.candidates_block_skipped, 1);
+        assert_eq!(f.store.pool().stats().logical_reads, 0, "no page touched");
+        assert_eq!(f.store.pool().stats().pages_skipped, 1, "skip counted");
+        let mut snaps = SnapshotCache::new(f.store.block_count());
+        assert!(m
+            .match_leaf_candidates(&[7], &mut snaps)
+            .unwrap()
+            .is_empty());
+        assert_eq!(m.stats.candidates_block_skipped, 2);
+        assert_eq!(f.store.pool().stats().logical_reads, 0, "no page touched");
+    }
+
+    #[test]
+    fn expired_deadline_is_never_masked_by_fail_closed() {
+        let doc = parse(FIG2).unwrap();
+        let mut map = AccessibilityMap::new(1, doc.len());
+        for p in 0..doc.len() as u32 {
+            map.set(SubjectId(0), NodeId(p), true);
+        }
+        let f = fixture(FIG2, Some(&map), 300);
+        let plan = QueryPlan::new(parse_query("//h[j][k]/l").unwrap());
+        let compiled = CompiledPlan::compile(&plan, f.doc.tags());
+        let expired = Deadline::after(std::time::Duration::ZERO);
+        let cancelled = Deadline::never();
+        cancelled.token().cancel();
+        // Secure mode would normally mask storage errors; an expired or
+        // cancelled deadline must abort the match instead of shrinking the
+        // answer.
+        for deadline in [expired, cancelled] {
+            let mut c = ctx(&f, Some(SubjectId(0)));
+            c.deadline = deadline;
+            let mut m = CompiledMatcher::new(&c, compiled.fragment(0), false, None);
+            assert!(matches!(
+                m.match_root(7),
+                Err(StorageError::DeadlineExceeded)
+            ));
+            assert_eq!(m.stats.blocks_failed_closed, 0, "not a data fault");
+        }
     }
 
     #[test]

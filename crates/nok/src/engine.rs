@@ -1,9 +1,11 @@
 //! The query engine: candidates → fragment matches → joins → answers.
 
 use crate::cache::fnv1a;
-use crate::compiled::{CompiledMatcher, CompiledPlan, SnapshotCache};
+use crate::compiled::{
+    is_availability, Binding, CompiledMatcher, CompiledPlan, MatchContext, MatchStats,
+    SnapshotCache,
+};
 use crate::join::{stack_tree_desc, VisibilityChecker};
-use crate::matcher::{is_availability, Binding, FragmentMatcher, MatchContext};
 use crate::pattern::PNodeId;
 use crate::plan::QueryPlan;
 use crate::xpath::{parse_query, QueryParseError};
@@ -13,7 +15,6 @@ use dol_storage::disk::StorageError;
 use dol_storage::{with_io_deadline, BPlusTree, Deadline, IoStats, StructStore, ValueStore};
 use dol_xml::{TagId, TagInterner};
 use std::borrow::Cow;
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// The security mode of one evaluation. `Hash`/`Eq` so a (query, security)
@@ -91,64 +92,20 @@ impl From<StorageError> for QueryError {
 pub struct ExecOptions {
     /// Enable the §3.3 page-skip optimization (default: true).
     pub page_skip: bool,
-    /// Worker threads for candidate matching: `1` (the default) evaluates
-    /// sequentially on the calling thread, `0` uses all available cores, any
-    /// other value spawns exactly that many scoped workers. Results are
-    /// byte-identical to sequential evaluation at every setting: candidates
-    /// are split into contiguous chunks and worker outputs are concatenated
-    /// in chunk order.
-    pub parallelism: usize,
     /// Cooperative deadline/cancellation for the whole evaluation (default:
     /// [`Deadline::never`]). The matcher checks it between node loads and
     /// the buffer pool between retry attempts; expiry aborts the query with
     /// [`QueryError::DeadlineExceeded`] carrying the partial-work stats —
     /// never with a partial answer, and never masked by fail-closed.
     pub deadline: Deadline,
-    /// Execute through the compiled automaton ([`CompiledPlan`]) rather than
-    /// the interpreted matcher (default: true). Answers are identical either
-    /// way (the differential property test enforces it); the flag exists for
-    /// the interpreted baseline in benchmarks and differential tests.
-    pub compiled: bool,
 }
 
 impl Default for ExecOptions {
     fn default() -> Self {
         Self {
             page_skip: true,
-            parallelism: 1,
             deadline: Deadline::never(),
-            compiled: true,
         }
-    }
-}
-
-/// The machine's core count, detected once per process.
-/// `available_parallelism` can cost a syscall (cgroup probing on Linux), and
-/// `parallelism: 0` resolves through here on every fragment of every query.
-fn detected_parallelism() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
-}
-
-impl ExecOptions {
-    /// The effective worker count (`0` resolved to the core count, looked
-    /// up once per process).
-    pub fn effective_parallelism(&self) -> usize {
-        match self.parallelism {
-            0 => detected_parallelism(),
-            n => n,
-        }
-    }
-
-    /// The worker count for one candidate list: effective parallelism
-    /// clamped to the number of candidates, so no worker is spawned without
-    /// a chunk to process (and never zero, so it is safe as a divisor).
-    pub fn workers_for(&self, candidates: usize) -> usize {
-        self.effective_parallelism().clamp(1, candidates.max(1))
     }
 }
 
@@ -178,9 +135,8 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
-    /// Folds one matcher's counters in (workers merge in chunk order, but
-    /// these sums are order-independent).
-    fn add_match(&mut self, m: &crate::matcher::MatchStats) {
+    /// Folds one matcher's counters in.
+    fn add_match(&mut self, m: &MatchStats) {
         self.nodes_visited += m.nodes_visited;
         self.nodes_denied += m.nodes_denied;
         self.blocks_skipped += m.candidates_block_skipped;
@@ -390,25 +346,21 @@ impl<'a> QueryEngine<'a> {
     /// Evaluates a pre-built plan with explicit execution options.
     ///
     /// The options' [`deadline`](ExecOptions::deadline) is installed as the
-    /// calling thread's (and every worker's) I/O deadline for the duration;
-    /// on expiry the query aborts with [`QueryError::DeadlineExceeded`]
-    /// carrying the counters and I/O accumulated so far.
+    /// calling thread's I/O deadline for the duration; on expiry the query
+    /// aborts with [`QueryError::DeadlineExceeded`] carrying the counters
+    /// and I/O accumulated so far.
     ///
-    /// With [`ExecOptions::compiled`] (the default) the plan is lowered to a
-    /// [`CompiledPlan`] for this call; long-lived callers should cache the
-    /// lowering and use [`execute_compiled_opts`](Self::execute_compiled_opts).
+    /// The plan is lowered to a [`CompiledPlan`] for this call; long-lived
+    /// callers should cache the lowering and use
+    /// [`execute_compiled_opts`](Self::execute_compiled_opts).
     pub fn execute_plan_opts(
         &self,
         plan: &QueryPlan,
         security: Security,
         opts: ExecOptions,
     ) -> Result<QueryResult, QueryError> {
-        if opts.compiled {
-            let compiled = CompiledPlan::compile(plan, self.tags);
-            self.run_timed(plan, Some(&compiled), security, &opts)
-        } else {
-            self.run_timed(plan, None, security, &opts)
-        }
+        let compiled = CompiledPlan::compile(plan, self.tags);
+        self.run_timed(plan, &compiled, security, &opts)
     }
 
     /// Evaluates a plan through a pre-lowered automaton (normally from the
@@ -424,28 +376,27 @@ impl<'a> QueryEngine<'a> {
         opts: ExecOptions,
     ) -> Result<QueryResult, QueryError> {
         if compiled.is_current(self.tags) {
-            self.run_timed(plan, Some(compiled), security, &opts)
+            self.run_timed(plan, compiled, security, &opts)
         } else {
             let fresh = CompiledPlan::compile(plan, self.tags);
-            self.run_timed(plan, Some(&fresh), security, &opts)
+            self.run_timed(plan, &fresh, security, &opts)
         }
     }
 
-    /// Timing, I/O delta, and deadline-abort plumbing shared by the
-    /// interpreted and compiled paths.
+    /// Timing, I/O delta, and deadline-abort plumbing around
+    /// [`run_pipeline`](Self::run_pipeline).
     fn run_timed(
         &self,
         plan: &QueryPlan,
-        compiled: Option<&CompiledPlan>,
+        compiled: &CompiledPlan,
         security: Security,
         opts: &ExecOptions,
     ) -> Result<QueryResult, QueryError> {
         let start = Instant::now();
         let io_before = self.store.pool().stats();
         let mut stats = ExecStats::default();
-        let outcome = with_io_deadline(&opts.deadline, || match compiled {
-            Some(c) => self.run_pipeline_compiled(plan, c, security, opts, &mut stats),
-            None => self.run_pipeline(plan, security, opts, &mut stats),
+        let outcome = with_io_deadline(&opts.deadline, || {
+            self.run_pipeline(plan, compiled, security, opts, &mut stats)
         });
         stats.io = self.store.pool().stats().since(&io_before);
         stats.elapsed = start.elapsed();
@@ -459,114 +410,14 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// Stages 1–4 of one evaluation; split out so the caller can attach the
-    /// partial stats to a deadline abort.
+    /// partial stats to a deadline abort. Stage 1 is here: every fragment's
+    /// candidates — seeded from the tag (or tag+value) index, or the
+    /// document root for an anchored query — are matched through
+    /// [`CompiledMatcher`], with the §3.3 skip mask precomputed **once** per
+    /// evaluation (word-parallel, from in-memory headers) and single-node
+    /// fragments routed through the compressed-domain leaf fast path;
+    /// [`finish_pipeline`](Self::finish_pipeline) runs stages 2–4.
     fn run_pipeline(
-        &self,
-        plan: &QueryPlan,
-        security: Security,
-        opts: &ExecOptions,
-        stats: &mut ExecStats,
-    ) -> Result<Vec<u64>, QueryError> {
-        let subject = security.subject();
-        let access = match (subject, self.dol) {
-            (Some(s), Some(dol)) => Some((dol, s)),
-            (Some(_), None) => return Err(QueryError::NoAccessControl),
-            (None, _) => None,
-        };
-        let mut ctx = MatchContext::new(self.store, self.values, self.tags, access, opts.page_skip);
-        ctx.deadline = opts.deadline.clone();
-        let ctx = ctx;
-
-        // Under subtree-visibility semantics every fragment root's binding
-        // must be exported so its ancestor path can be checked.
-        let mut plan_gb;
-        let plan = if matches!(security, Security::SubtreeVisibility(_)) {
-            plan_gb = plan.clone();
-            for t in &mut plan_gb.trees {
-                if !t.outputs.contains(&t.root) {
-                    t.outputs.push(t.root);
-                }
-            }
-            &plan_gb
-        } else {
-            plan
-        };
-
-        // 1. Match every fragment. With `parallelism > 1`, the candidate
-        //    list is split into contiguous chunks over scoped workers; each
-        //    worker runs its own matcher (sharing the context's decoded
-        //    column) and outputs are concatenated in chunk order, so the
-        //    tuple stream is byte-identical to sequential evaluation.
-        let workers = opts.effective_parallelism().max(1);
-        let mut results: Vec<Vec<Binding>> = Vec::with_capacity(plan.trees.len());
-        for (i, tree) in plan.trees.iter().enumerate() {
-            let mut matcher = FragmentMatcher::new(&ctx, plan, i);
-            let candidates: Cow<'_, [u64]> = if i == 0 && plan.pattern.anchored() {
-                Cow::Owned(vec![0u64])
-            } else if matcher.is_satisfiable() {
-                let root_value = plan.pattern.node(tree.root).value.as_deref();
-                self.candidates_for(matcher.root_tag(), root_value)
-            } else {
-                Cow::Owned(Vec::new())
-            };
-            stats.candidates += candidates.len() as u64;
-            let tuples = if workers <= 1 || candidates.len() < 2 {
-                let mut tuples = Vec::new();
-                for &c in candidates.iter() {
-                    tuples.extend(matcher.match_root(c)?);
-                }
-                stats.add_match(&matcher.stats);
-                tuples
-            } else {
-                let chunk = candidates
-                    .len()
-                    .div_ceil(opts.workers_for(candidates.len()));
-                let per_chunk: Vec<_> = std::thread::scope(|scope| {
-                    let ctx = &ctx;
-                    let handles: Vec<_> = candidates
-                        .chunks(chunk)
-                        .map(|chunk| {
-                            scope.spawn(move || {
-                                // Thread-locals don't cross scope boundaries:
-                                // each worker installs the evaluation's
-                                // deadline for its own buffer-pool I/O.
-                                with_io_deadline(&ctx.deadline, || {
-                                    let mut m = FragmentMatcher::new(ctx, plan, i);
-                                    let mut tuples = Vec::new();
-                                    for &c in chunk {
-                                        tuples.extend(m.match_root(c)?);
-                                    }
-                                    Ok::<_, StorageError>((tuples, m.stats))
-                                })
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("matcher worker panicked"))
-                        .collect()
-                });
-                let mut tuples = Vec::new();
-                for r in per_chunk {
-                    let (t, ms) = r?;
-                    tuples.extend(t);
-                    stats.add_match(&ms);
-                }
-                tuples
-            };
-            let _ = tree;
-            results.push(tuples);
-        }
-
-        self.finish_pipeline(plan, security, results, stats, None)
-    }
-
-    /// Stage 1 of the compiled path: the same candidate seeding as the
-    /// interpreted pipeline, executed through [`CompiledMatcher`] — with the
-    /// §3.3 skip mask precomputed **once** per evaluation (word-parallel,
-    /// from in-memory headers) and single-node fragments routed through the
-    /// compressed-domain leaf fast path.
-    fn run_pipeline_compiled(
         &self,
         plan: &QueryPlan,
         compiled: &CompiledPlan,
@@ -580,12 +431,13 @@ impl<'a> QueryEngine<'a> {
             (Some(_), None) => return Err(QueryError::NoAccessControl),
             (None, _) => None,
         };
-        let mut ctx = MatchContext::new(self.store, self.values, self.tags, access, opts.page_skip);
+        let mut ctx = MatchContext::new(self.store, self.values, access);
         ctx.deadline = opts.deadline.clone();
         let ctx = ctx;
-        // GB semantics need every fragment root exported; the compiled path
-        // passes a flag instead of cloning and re-lowering the plan (sound
-        // because a fragment root never appears in its own kin table).
+        // GB semantics need every fragment root exported so its ancestor
+        // path can be checked; the matcher takes a flag instead of a cloned,
+        // re-lowered plan (sound because a fragment root never appears in
+        // its own kin table).
         let force_root_output = matches!(security, Security::SubtreeVisibility(_));
         // One word-parallel pass over the in-memory block directory replaces
         // the per-candidate skip probe. Purely in-memory: no I/O.
@@ -595,15 +447,14 @@ impl<'a> QueryEngine<'a> {
             }
             _ => None,
         };
-        let workers = opts.effective_parallelism().max(1);
         debug_assert_eq!(
             compiled.fragments().len(),
             plan.trees.len(),
             "compiled plan must be lowered from this query plan"
         );
-        // Shared per-execution snapshot cache: the sequential leaf fast path
-        // and the join's ancestor-interval fetch latch each distinct block at
-        // most once between them.
+        // Shared per-execution snapshot cache: the leaf fast path and the
+        // join's ancestor-interval fetch latch each distinct block at most
+        // once between them.
         let mut snaps = SnapshotCache::new(self.store.block_count());
         let mut results: Vec<Vec<Binding>> = Vec::with_capacity(plan.trees.len());
         for i in 0..plan.trees.len() {
@@ -619,81 +470,35 @@ impl<'a> QueryEngine<'a> {
             stats.candidates += candidates.len() as u64;
             // The leaf fast path classifies whole blocks in the compressed
             // domain; it requires candidates drawn from the tag index (an
-            // anchored root's `[0]` is not), and is sequential by design —
-            // it does no per-candidate work worth parallelizing.
+            // anchored root's `[0]` is not).
+            let mut m = CompiledMatcher::new(&ctx, frag, force_root_output, skip_mask.as_deref());
             let tuples = if frag.is_leaf() && !anchored_root {
-                let mut m =
-                    CompiledMatcher::new(&ctx, frag, force_root_output, skip_mask.as_deref());
-                let t = m.match_leaf_candidates(&candidates, &mut snaps)?;
-                stats.add_match(&m.stats);
-                t
-            } else if workers <= 1 || candidates.len() < 2 {
-                let mut m =
-                    CompiledMatcher::new(&ctx, frag, force_root_output, skip_mask.as_deref());
+                m.match_leaf_candidates(&candidates, &mut snaps)?
+            } else {
                 let mut tuples = Vec::new();
                 for &c in candidates.iter() {
                     tuples.extend(m.match_root(c)?);
                 }
-                stats.add_match(&m.stats);
-                tuples
-            } else {
-                let chunk = candidates
-                    .len()
-                    .div_ceil(opts.workers_for(candidates.len()));
-                let skip_mask = skip_mask.as_deref();
-                let per_chunk: Vec<_> = std::thread::scope(|scope| {
-                    let ctx = &ctx;
-                    let handles: Vec<_> = candidates
-                        .chunks(chunk)
-                        .map(|chunk| {
-                            scope.spawn(move || {
-                                with_io_deadline(&ctx.deadline, || {
-                                    let mut m = CompiledMatcher::new(
-                                        ctx,
-                                        frag,
-                                        force_root_output,
-                                        skip_mask,
-                                    );
-                                    let mut tuples = Vec::new();
-                                    for &c in chunk {
-                                        tuples.extend(m.match_root(c)?);
-                                    }
-                                    Ok::<_, StorageError>((tuples, m.stats))
-                                })
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("matcher worker panicked"))
-                        .collect()
-                });
-                let mut tuples = Vec::new();
-                for r in per_chunk {
-                    let (t, ms) = r?;
-                    tuples.extend(t);
-                    stats.add_match(&ms);
-                }
                 tuples
             };
+            stats.add_match(&m.stats);
             results.push(tuples);
         }
-        self.finish_pipeline(plan, security, results, stats, Some(&mut snaps))
+        self.finish_pipeline(plan, security, results, stats, &mut snaps)
     }
 
-    /// Stages 2–4, shared by the interpreted and compiled paths: the
-    /// subtree-visibility filter, the bottom-up structural joins, and the
-    /// returning-node projection. `snaps` (the compiled path) switches the
-    /// join's ancestor-interval fetch from per-binding `node()` loads to the
-    /// execution's shared [`SnapshotCache`] — one page access per distinct
-    /// block, shared with the leaf fast path that produced the bindings.
+    /// Stages 2–4 of one evaluation: the subtree-visibility filter, the
+    /// bottom-up structural joins, and the returning-node projection. The
+    /// join's ancestor-interval fetch goes through the execution's shared
+    /// [`SnapshotCache`] — one page access per distinct block, shared with
+    /// the leaf fast path that produced the bindings.
     fn finish_pipeline(
         &self,
         plan: &QueryPlan,
         security: Security,
         mut results: Vec<Vec<Binding>>,
         stats: &mut ExecStats,
-        mut snaps: Option<&mut SnapshotCache>,
+        snaps: &mut SnapshotCache,
     ) -> Result<Vec<u64>, QueryError> {
         let subject = security.subject();
         // 2. Subtree-visibility filter on fragment-root bindings.
@@ -760,30 +565,16 @@ impl<'a> QueryEngine<'a> {
             // once per binding it hides.
             for b in anc_sorted {
                 let pos = bound(b, join.anc_pnode);
-                if let Some(sn) = snaps.as_deref_mut() {
-                    let blk = self.store.block_of_pos(pos);
-                    match sn.get(self.store, blk, subject.is_some()) {
-                        Ok(Some(snap)) => {
-                            let size = snap.node((pos - snap.first_pos()) as usize).size;
-                            anc_intervals.push((pos, pos + u64::from(size)));
-                            anc_kept.push(b);
-                        }
-                        Ok(None) => stats.blocks_failed_closed += 1,
-                        Err(e) => return Err(e.into()),
-                    }
-                    continue;
-                }
-                match self.store.node(pos) {
-                    Ok(rec) => {
-                        anc_intervals.push((pos, pos + rec.size as u64));
+                let blk = self.store.block_of_pos(pos);
+                match snaps.get(self.store, blk, subject.is_some())? {
+                    Some(snap) => {
+                        let size = snap.node((pos - snap.first_pos()) as usize).size;
+                        anc_intervals.push((pos, pos + u64::from(size)));
                         anc_kept.push(b);
                     }
-                    Err(e) if subject.is_some() && !is_availability(&e) => {
-                        // Fail closed: a binding whose anchor can no longer
-                        // be verified is dropped from the join.
-                        stats.blocks_failed_closed += 1;
-                    }
-                    Err(e) => return Err(e.into()),
+                    // Fail closed: a binding whose anchor can no longer be
+                    // verified is dropped from the join.
+                    None => stats.blocks_failed_closed += 1,
                 }
             }
             let anc_sorted = anc_kept;
@@ -889,41 +680,6 @@ mod tests {
                        <categories><category><name>metals</name></category></categories></site>";
     // positions: site=0 regions=1 africa=2 item=3 name=4 quantity=5 item=6
     //            name=7 categories=8 category=9 name=10
-
-    #[test]
-    fn parallelism_zero_resolves_once_and_workers_clamp() {
-        let auto = ExecOptions {
-            parallelism: 0,
-            ..ExecOptions::default()
-        };
-        let n = auto.effective_parallelism();
-        assert!(n >= 1, "core detection must never resolve to zero");
-        // The process-wide cache makes repeated resolution stable (and
-        // syscall-free after the first lookup).
-        assert_eq!(auto.effective_parallelism(), n);
-        assert_eq!(detected_parallelism(), n);
-        // Worker counts are clamped to the candidate list: never zero
-        // (safe divisor), never more workers than candidates.
-        assert_eq!(auto.workers_for(0), 1);
-        assert_eq!(auto.workers_for(1), 1);
-        assert!(auto.workers_for(usize::MAX) >= n);
-        let eight = ExecOptions {
-            parallelism: 8,
-            ..ExecOptions::default()
-        };
-        assert_eq!(eight.workers_for(3), 3);
-        assert_eq!(eight.workers_for(8), 8);
-        assert_eq!(eight.workers_for(100), 8);
-        // Chunk sizing through the clamp never yields more chunks than
-        // candidates and always covers the whole list.
-        for candidates in [1usize, 2, 3, 7, 8, 9, 1000] {
-            let workers = eight.workers_for(candidates);
-            let chunk = candidates.div_ceil(workers);
-            let chunks = candidates.div_ceil(chunk);
-            assert!(chunks <= candidates);
-            assert!(chunk * chunks >= candidates);
-        }
-    }
 
     #[test]
     fn single_fragment_queries() {
@@ -1059,88 +815,15 @@ mod tests {
     fn stats_populated() {
         let d = db(DOC, None, 2);
         let engine = QueryEngine::new(&d.store, &d.values, d.doc.tags(), Some(&d.dol)).unwrap();
-        let plan = QueryPlan::new(parse_query("//site//name").unwrap());
-        // Default (compiled) execution: both fragments are single-node, so
-        // the leaf fast path answers from the index plus block headers —
-        // zero nodes materialized; the join still reads pages for intervals.
+        // Both fragments are single-node, so the leaf fast path answers from
+        // the index plus block headers — zero nodes materialized; the join
+        // still reads pages for intervals.
         let r = engine.execute("//site//name", Security::None).unwrap();
         assert_eq!(r.matches.len(), 3);
         assert!(r.stats.candidates >= 4);
         assert_eq!(r.stats.nodes_visited, 0, "leaf fast path decodes no node");
         assert!(r.stats.join_pairs >= 3);
         assert!(r.stats.io.logical_reads > 0);
-        // The interpreted baseline visits every candidate and agrees.
-        let interp = engine
-            .execute_plan_opts(
-                &plan,
-                Security::None,
-                ExecOptions {
-                    compiled: false,
-                    ..ExecOptions::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(interp.matches, r.matches);
-        assert!(interp.stats.nodes_visited > 0);
-    }
-
-    #[test]
-    fn compiled_matches_interpreted_end_to_end() {
-        let doc = parse(DOC).unwrap();
-        let mut map = AccessibilityMap::new(1, doc.len());
-        for p in 0..doc.len() as u32 {
-            map.set(SubjectId(0), NodeId(p), true);
-        }
-        map.set(SubjectId(0), NodeId(5), false);
-        for max_rec in [300, 2] {
-            let d = db(DOC, Some(&map), max_rec);
-            let engine = QueryEngine::new(&d.store, &d.values, d.doc.tags(), Some(&d.dol)).unwrap();
-            for q in [
-                "/site/regions/africa/item[name][quantity]",
-                "//site//name",
-                "//item[name=\"salt\"]",
-                "//regions//name",
-                "/site/*/africa/item/name",
-                "//item[name]",
-                "/regions",
-                "//nosuchtag",
-            ] {
-                let plan = QueryPlan::new(parse_query(q).unwrap());
-                for sec in [
-                    Security::None,
-                    Security::BindingLevel(SubjectId(0)),
-                    Security::SubtreeVisibility(SubjectId(0)),
-                ] {
-                    for page_skip in [true, false] {
-                        let compiled = engine
-                            .execute_plan_opts(
-                                &plan,
-                                sec,
-                                ExecOptions {
-                                    page_skip,
-                                    ..ExecOptions::default()
-                                },
-                            )
-                            .unwrap();
-                        let interpreted = engine
-                            .execute_plan_opts(
-                                &plan,
-                                sec,
-                                ExecOptions {
-                                    page_skip,
-                                    compiled: false,
-                                    ..ExecOptions::default()
-                                },
-                            )
-                            .unwrap();
-                        assert_eq!(
-                            compiled.matches, interpreted.matches,
-                            "{q} {sec:?} page_skip={page_skip} max_rec={max_rec}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]
@@ -1220,65 +903,6 @@ mod tests {
             query(&d, "//a~b", Security::BindingLevel(SubjectId(0))),
             vec![2]
         );
-    }
-
-    #[test]
-    fn parallel_matches_sequential_exactly() {
-        let doc = parse(DOC).unwrap();
-        let mut map = AccessibilityMap::new(1, doc.len());
-        for p in 0..doc.len() as u32 {
-            map.set(SubjectId(0), NodeId(p), true);
-        }
-        map.set(SubjectId(0), NodeId(5), false);
-        let d = db(DOC, Some(&map), 2);
-        let engine = QueryEngine::new(&d.store, &d.values, d.doc.tags(), Some(&d.dol)).unwrap();
-        for q in [
-            "//site//name",
-            "//item[name]",
-            "/site/regions/africa/item[name][quantity]",
-        ] {
-            for sec in [
-                Security::None,
-                Security::BindingLevel(SubjectId(0)),
-                Security::SubtreeVisibility(SubjectId(0)),
-            ] {
-                let plan = QueryPlan::new(parse_query(q).unwrap());
-                for compiled in [true, false] {
-                    let seq = engine
-                        .execute_plan_opts(
-                            &plan,
-                            sec,
-                            ExecOptions {
-                                compiled,
-                                ..ExecOptions::default()
-                            },
-                        )
-                        .unwrap();
-                    for parallelism in [0, 2, 3, 7] {
-                        let par = engine
-                            .execute_plan_opts(
-                                &plan,
-                                sec,
-                                ExecOptions {
-                                    parallelism,
-                                    compiled,
-                                    ..ExecOptions::default()
-                                },
-                            )
-                            .unwrap();
-                        assert_eq!(
-                            par.matches, seq.matches,
-                            "query {q} parallelism {parallelism} compiled {compiled}"
-                        );
-                        assert_eq!(par.stats.candidates, seq.stats.candidates);
-                        assert_eq!(par.stats.nodes_visited, seq.stats.nodes_visited);
-                        assert_eq!(par.stats.nodes_denied, seq.stats.nodes_denied);
-                        assert_eq!(par.stats.blocks_skipped, seq.stats.blocks_skipped);
-                        assert_eq!(par.stats.join_pairs, seq.stats.join_pairs);
-                    }
-                }
-            }
-        }
     }
 
     #[test]
@@ -1387,16 +1011,6 @@ mod tests {
                 Err(QueryError::DeadlineExceeded(_))
             ));
         }
-        // Parallel workers propagate the abort too.
-        let opts = ExecOptions {
-            parallelism: 3,
-            deadline: Deadline::after(Duration::ZERO),
-            ..ExecOptions::default()
-        };
-        assert!(matches!(
-            engine.execute_plan_opts(&plan, Security::BindingLevel(SubjectId(0)), opts),
-            Err(QueryError::DeadlineExceeded(_))
-        ));
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //! 2. [`plan`] partitions the pattern tree into **NoK subtrees** — maximal
 //!    fragments connected only by parent/child ("next-of-kin") edges — linked
 //!    by ancestor–descendant join edges.
-//! 3. [`matcher`] finds matches of each NoK subtree by top-down navigation
+//! 3. [`compiled`] lowers each NoK subtree once into a flat automaton, and its
+//!    [`CompiledMatcher`] finds the subtree's matches by top-down navigation
 //!    over the [`dol_storage::StructStore`] (Algorithm 1, ε-NoK): candidate
 //!    roots are seeded from a tag B+-tree index, and in secure mode every
 //!    visited node's accessibility is checked from the code piggy-backed on
@@ -45,7 +46,6 @@ pub mod cache;
 pub mod compiled;
 pub mod engine;
 pub mod join;
-pub mod matcher;
 pub mod pattern;
 pub mod plan;
 pub mod reference;
@@ -59,4 +59,4 @@ pub use engine::{
 };
 pub use pattern::{Axis, PNodeId, PatternNode, PatternTree};
 pub use plan::{JoinEdge, NokTree, QueryPlan};
-pub use xpath::{parse_query, QueryParseError};
+pub use xpath::{parse_query, QueryParseError, MAX_PATTERN_NODES};

@@ -16,8 +16,19 @@
 //!
 //! The returning node is the final step of the main path. A leading `/`
 //! anchors the first step at the document root; `//` matches anywhere.
+//!
+//! A query may name at most [`MAX_PATTERN_NODES`] pattern nodes. Query
+//! strings can come from untrusted wire clients, and both the parser's
+//! predicate recursion and the per-fragment lowering grow with pattern
+//! size, so the cap is enforced before each node is added.
 
 use crate::pattern::{Axis, PNodeId, PatternTree};
+
+/// The most pattern nodes a query may name. Table 1's largest query has 7;
+/// the cap bounds the parser's recursion depth (one `parse_predicates`
+/// frame per nesting level, each level adding a node) and the lowering's
+/// per-fragment tables (O(nodes²) in total).
+pub const MAX_PATTERN_NODES: usize = 256;
 
 /// A query-string parse failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,6 +106,23 @@ impl<'a> Parser<'a> {
         })
     }
 
+    /// Adds a pattern node under `parent`, refusing once the pattern holds
+    /// [`MAX_PATTERN_NODES`] nodes.
+    fn add_node(
+        &self,
+        tree: &mut PatternTree,
+        parent: PNodeId,
+        axis: Axis,
+        name: Option<&str>,
+    ) -> Result<PNodeId, QueryParseError> {
+        if tree.len() >= MAX_PATTERN_NODES {
+            return Err(self.err(format!(
+                "query names more than {MAX_PATTERN_NODES} pattern nodes"
+            )));
+        }
+        Ok(tree.add_child(parent, axis, name))
+    }
+
     fn parse_name(&mut self) -> Result<Option<String>, QueryParseError> {
         if self.eat(b'*') {
             return Ok(None);
@@ -145,7 +173,7 @@ impl<'a> Parser<'a> {
         self.parse_predicates(&mut tree, cur)?;
         while let Some(axis) = self.parse_axis() {
             let name = self.parse_name()?;
-            cur = tree.add_child(cur, axis, name.as_deref());
+            cur = self.add_node(&mut tree, cur, axis, name.as_deref())?;
             self.parse_predicates(&mut tree, cur)?;
         }
         tree.set_returning(cur);
@@ -165,11 +193,11 @@ impl<'a> Parser<'a> {
             } else {
                 let axis = self.parse_axis().unwrap_or(Axis::Child);
                 let name = self.parse_name()?;
-                let mut cur = tree.add_child(node, axis, name.as_deref());
+                let mut cur = self.add_node(tree, node, axis, name.as_deref())?;
                 self.parse_predicates(tree, cur)?;
                 while let Some(axis) = self.parse_axis() {
                     let name = self.parse_name()?;
-                    cur = tree.add_child(cur, axis, name.as_deref());
+                    cur = self.add_node(tree, cur, axis, name.as_deref())?;
                     self.parse_predicates(tree, cur)?;
                 }
                 if self.eat(b'=') {
@@ -310,5 +338,43 @@ mod tests {
         assert!(parse_query("/a[name=\"x]").is_err());
         assert!(parse_query("/").is_err());
         assert!(parse_query("").is_err());
+    }
+
+    /// `/a` followed by `depth` nested `[a` predicates: `depth + 1` nodes.
+    fn nested(depth: usize) -> String {
+        format!("/a{}{}", "[a".repeat(depth), "]".repeat(depth))
+    }
+
+    /// `steps` descendant steps `//a`: `steps` nodes, one fragment each.
+    fn chain(steps: usize) -> String {
+        "//a".repeat(steps)
+    }
+
+    #[test]
+    fn pattern_size_is_capped() {
+        // On a thread with the default 2 MiB stack, like a server worker:
+        // the parser recurses once per nesting level, so the cap must stop
+        // it long before the stack runs out.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let at_cap = [nested(MAX_PATTERN_NODES - 1), chain(MAX_PATTERN_NODES)];
+                for q in &at_cap {
+                    assert_eq!(parse_query(q).unwrap().len(), MAX_PATTERN_NODES);
+                }
+                for q in [
+                    nested(MAX_PATTERN_NODES),
+                    chain(MAX_PATTERN_NODES + 1),
+                    nested(20_000),
+                    chain(50_000),
+                ] {
+                    let e = parse_query(&q).unwrap_err();
+                    assert!(e.message.contains("pattern nodes"), "{e}");
+                    assert!(e.offset <= 3 * (MAX_PATTERN_NODES + 1), "{e}");
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 }

@@ -1,18 +1,20 @@
-//! Differential property tests for compiled twig execution: the compiled
-//! automaton must agree with the interpreted matcher — byte-for-byte on the
-//! answer — over random documents, random twig patterns, random
-//! two-subject accessibility matrices, all three security semantics, both
-//! page-skip settings, and block sizes that force multi-block layouts.
+//! Differential property tests for compiled twig execution: the engine's
+//! answer must equal the naive reference evaluator's
+//! ([`dol_nok::reference::naive_eval`], computed straight from the
+//! in-memory document and accessibility map) over random documents, random
+//! twig patterns, random two-subject accessibility matrices, all three
+//! security semantics, both page-skip settings, and block sizes that force
+//! multi-block layouts.
 //!
 //! Deadline behavior is part of the contract: at any injected abort point
-//! each path must return either the full correct answer or a typed
+//! the engine must return either the full correct answer or a typed
 //! [`QueryError::DeadlineExceeded`] — never a partial or shrunken answer.
-//! (The two paths may legitimately *differ* in whether they hit the
-//! deadline: the compiled leaf path can answer some fragments with zero
-//! node loads.)
+//! (The leaf fast path can answer some fragments with zero node loads, so
+//! an expired deadline does not always fire.)
 
 use dol_acl::{AccessibilityMap, SubjectId};
 use dol_core::EmbeddedDol;
+use dol_nok::reference::{naive_eval, RefSecurity};
 use dol_nok::{Axis, ExecOptions, PatternTree, QueryEngine, QueryError, QueryPlan, Security};
 use dol_storage::{BufferPool, Deadline, MemDisk, StoreConfig, StructStore, ValueStore};
 use dol_xml::{Document, DocumentBuilder, NodeId};
@@ -139,10 +141,10 @@ fn map_from_bits(bits: &[bool], n: usize) -> AccessibilityMap {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The core differential property: compiled ≡ interpreted on the answer,
+    /// The core differential property: engine ≡ reference on the answer,
     /// for every security mode × page-skip setting × block size.
     #[test]
-    fn compiled_execution_matches_interpreted(
+    fn compiled_execution_matches_reference(
         doc in arb_doc(),
         pattern in arb_pattern(),
         bits in proptest::collection::vec(any::<bool>(), 0..120),
@@ -153,26 +155,20 @@ proptest! {
         let f = build(doc, &map, max_rec);
         let engine = QueryEngine::new(&f.store, &f.values, f.doc.tags(), Some(&f.dol)).unwrap();
         let plan = QueryPlan::new(pattern.clone());
-        for sec in [
-            Security::None,
-            Security::BindingLevel(SubjectId(0)),
-            Security::BindingLevel(SubjectId(1)),
-            Security::SubtreeVisibility(SubjectId(0)),
-            Security::SubtreeVisibility(SubjectId(1)),
+        for (sec, reference) in [
+            (Security::None, RefSecurity::None),
+            (Security::BindingLevel(SubjectId(0)), RefSecurity::Binding(&map, SubjectId(0))),
+            (Security::BindingLevel(SubjectId(1)), RefSecurity::Binding(&map, SubjectId(1))),
+            (Security::SubtreeVisibility(SubjectId(0)), RefSecurity::Subtree(&map, SubjectId(0))),
+            (Security::SubtreeVisibility(SubjectId(1)), RefSecurity::Subtree(&map, SubjectId(1))),
         ] {
-            let compiled = engine
+            let got = engine
                 .execute_plan_opts(&plan, sec, ExecOptions { page_skip, ..ExecOptions::default() })
                 .unwrap();
-            let interpreted = engine
-                .execute_plan_opts(
-                    &plan,
-                    sec,
-                    ExecOptions { page_skip, compiled: false, ..ExecOptions::default() },
-                )
-                .unwrap();
+            let want = naive_eval(&f.doc, &pattern, reference);
             prop_assert_eq!(
-                &compiled.matches,
-                &interpreted.matches,
+                &got.matches,
+                &want,
                 "query {} sec {:?} page_skip {}",
                 pattern.to_query_string(),
                 sec,
@@ -201,7 +197,7 @@ proptest! {
             Security::BindingLevel(SubjectId(0)),
             Security::SubtreeVisibility(SubjectId(1)),
         ] {
-            // The full answer, compiled, no deadline.
+            // The full answer, no deadline.
             let full = engine
                 .execute_plan_opts(&plan, sec, ExecOptions::default())
                 .unwrap()

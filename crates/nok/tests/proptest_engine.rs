@@ -5,7 +5,7 @@
 use dol_acl::{AccessibilityMap, SubjectId};
 use dol_core::EmbeddedDol;
 use dol_nok::reference::{naive_eval, RefSecurity};
-use dol_nok::{Axis, ExecOptions, PatternTree, QueryEngine, QueryPlan, Security};
+use dol_nok::{Axis, PatternTree, QueryEngine, QueryPlan, Security};
 use dol_storage::{BufferPool, MemDisk, StoreConfig, StructStore, ValueStore};
 use dol_xml::{Document, DocumentBuilder, NodeId};
 use proptest::prelude::*;
@@ -209,41 +209,6 @@ proptest! {
                 .matches;
             let expect = naive_eval(&f.doc, &pattern, RefSecurity::Binding(&map, s));
             prop_assert_eq!(&got, &expect, "query {}", pattern.to_query_string());
-        }
-    }
-
-    #[test]
-    fn parallel_execution_matches_sequential(
-        doc in arb_doc(),
-        pattern in arb_pattern(),
-        bits in proptest::collection::vec(any::<bool>(), 0..120),
-        parallelism in prop_oneof![Just(0usize), Just(2usize), Just(3usize), Just(5usize)],
-        max_rec in prop_oneof![Just(4usize), Just(300usize)],
-    ) {
-        let n = doc.len();
-        let mut map = AccessibilityMap::new(2, n);
-        for (i, bit) in bits.iter().enumerate() {
-            if *bit {
-                map.set(SubjectId((i / n.max(1) % 2) as u32), NodeId((i % n.max(1)) as u32), true);
-            }
-        }
-        let f = build(doc, &map, max_rec);
-        let engine = QueryEngine::new(&f.store, &f.values, f.doc.tags(), Some(&f.dol)).unwrap();
-        let plan = QueryPlan::new(pattern.clone());
-        let par_opts = ExecOptions { parallelism, ..ExecOptions::default() };
-        for sec in [
-            Security::None,
-            Security::BindingLevel(SubjectId(0)),
-            Security::SubtreeVisibility(SubjectId(1)),
-        ] {
-            let seq = engine.execute_plan_opts(&plan, sec, ExecOptions::default()).unwrap();
-            let par = engine.execute_plan_opts(&plan, sec, par_opts.clone()).unwrap();
-            prop_assert_eq!(&par.matches, &seq.matches, "query {}", pattern.to_query_string());
-            prop_assert_eq!(par.stats.candidates, seq.stats.candidates);
-            prop_assert_eq!(par.stats.nodes_visited, seq.stats.nodes_visited);
-            prop_assert_eq!(par.stats.nodes_denied, seq.stats.nodes_denied);
-            prop_assert_eq!(par.stats.blocks_skipped, seq.stats.blocks_skipped);
-            prop_assert_eq!(par.stats.join_pairs, seq.stats.join_pairs);
         }
     }
 

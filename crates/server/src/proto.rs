@@ -17,6 +17,7 @@
 //! `invalid_request`, `draining`).
 
 use crate::json::Json;
+use secure_xml::query::QueryError;
 use secure_xml::DbError;
 
 /// A decoded request frame.
@@ -207,7 +208,8 @@ impl ErrorCode {
 
 /// Maps a typed in-process failure to its wire code. Distinct in-process
 /// refusals keep distinct codes so wire clients can react like in-process
-/// callers do.
+/// callers do; a query string that fails to parse is the client's error,
+/// answered `invalid_request`.
 pub fn wire_code(e: &DbError) -> ErrorCode {
     match e {
         DbError::Overloaded => ErrorCode::Overloaded,
@@ -216,6 +218,7 @@ pub fn wire_code(e: &DbError) -> ErrorCode {
         DbError::Poisoned => ErrorCode::Poisoned,
         DbError::ShardUnavailable { .. } => ErrorCode::ShardUnavailable,
         DbError::DeadlineExceeded(_) => ErrorCode::DeadlineExceeded,
+        DbError::Query(QueryError::Parse(_)) => ErrorCode::InvalidRequest,
         _ => ErrorCode::Internal,
     }
 }
@@ -634,6 +637,12 @@ mod tests {
         assert_eq!(
             wire_code(&DbError::DeadlineExceeded(Default::default())),
             ErrorCode::DeadlineExceeded
+        );
+        assert_eq!(
+            wire_code(&DbError::Query(QueryError::Parse(
+                secure_xml::query::parse_query("/a[").unwrap_err()
+            ))),
+            ErrorCode::InvalidRequest
         );
         assert_eq!(wire_code(&DbError::InvalidNode(3)), ErrorCode::Internal);
         // And the codes survive the wire.

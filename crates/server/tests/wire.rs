@@ -416,3 +416,35 @@ fn client_roundtrip_query_update_stats_metrics() {
     c.shutdown().expect("shutdown ack");
     server.wait();
 }
+
+#[test]
+fn oversized_query_is_invalid_request_and_the_connection_keeps_answering() {
+    let server = Server::start(test_db(), ServerConfig::default()).expect("bind");
+    let addr = server.local_addr().to_string();
+    let mut c = Client::connect(&addr, Duration::from_secs(10)).expect("connect");
+    let cap = secure_xml::query::MAX_PATTERN_NODES;
+    // `/lib` plus `depth` nested `[shelf` predicates: depth + 1 pattern nodes.
+    let nested = |depth: usize| format!("/lib{}{}", "[shelf".repeat(depth), "]".repeat(depth));
+    for q in [
+        nested(cap),
+        "//book".repeat(cap + 1),
+        // Without the cap these would overflow a worker's stack (about
+        // 140 KB) and exhaust memory in lowering (about 150 KB); both fit
+        // inside the frame cap.
+        nested(20_000),
+        "//a".repeat(50_000),
+    ] {
+        match c.query(&q, 1, WireSemantics::Binding, None) {
+            Err(ClientError::Server(ErrorCode::InvalidRequest, msg)) => {
+                assert!(msg.contains("pattern nodes"), "{msg}");
+            }
+            other => panic!("expected invalid_request, got {other:?}"),
+        }
+        let ok = c
+            .query("//book", 1, WireSemantics::Binding, None)
+            .expect("the same connection answers a normal query");
+        assert_eq!(ok.len(), 3);
+    }
+    c.shutdown().expect("shutdown ack");
+    server.wait();
+}

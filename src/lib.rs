@@ -1047,12 +1047,7 @@ impl SecureXmlDb {
             &self.tag_index,
         );
         engine.set_value_index(&self.value_index);
-        let exec = if opts.compiled {
-            engine.execute_compiled_opts(&plan, &compiled, security, opts)
-        } else {
-            engine.execute_plan_opts(&plan, security, opts)
-        };
-        match exec {
+        match engine.execute_compiled_opts(&plan, &compiled, security, opts) {
             Err(e @ QueryError::DeadlineExceeded(_)) => {
                 self.caches.note_deadline_abort();
                 Err(e.into())

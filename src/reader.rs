@@ -351,11 +351,7 @@ impl DbReader {
         // ring enabled, the pool serves each page as of `seen` even while
         // commits land concurrently (a no-op in legacy mode).
         let exec = with_read_epoch(self.seen, || {
-            if opts.compiled {
-                engine.execute_compiled_opts(&plan, &compiled, security, opts)
-            } else {
-                engine.execute_plan_opts(&plan, security, opts)
-            }
+            engine.execute_compiled_opts(&plan, &compiled, security, opts)
         });
         let result = match exec {
             Ok(r) => r,
