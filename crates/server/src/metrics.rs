@@ -301,6 +301,21 @@ impl Metrics {
                 stats.io.physical_writes,
             ),
             (
+                "dol_io_evictions",
+                "Frames evicted to make room.",
+                stats.io.evictions,
+            ),
+            (
+                "dol_io_read_shared",
+                "Page reads served under a shard's shared latch.",
+                stats.io.read_shared,
+            ),
+            (
+                "dol_io_read_exclusive_fallback",
+                "Page reads that took a shard's exclusive latch (misses).",
+                stats.io.read_exclusive_fallback,
+            ),
+            (
                 "dol_io_pages_skipped",
                 "Page reads avoided by the page-skip test.",
                 stats.io.pages_skipped,
@@ -418,7 +433,15 @@ mod tests {
         assert_eq!(m.refusals(ErrorCode::DeadlineExceeded), 1);
         assert_eq!(m.refusals(ErrorCode::Overloaded), 1);
 
-        let text = m.render(&secure_xml::ServerStats::default());
+        let mut stats = secure_xml::ServerStats::default();
+        stats.io.evictions = 7;
+        stats.io.read_shared = 40;
+        stats.io.read_exclusive_fallback = 9;
+        let text = m.render(&stats);
+        // The pool counters that show page replacement at work.
+        assert!(text.contains("\ndol_io_evictions 7\n"));
+        assert!(text.contains("\ndol_io_read_shared 40\n"));
+        assert!(text.contains("\ndol_io_read_exclusive_fallback 9\n"));
         // The +Inf bucket equals the count for every method.
         assert!(text.contains("dol_request_latency_us_bucket{method=\"query\",le=\"+Inf\"} 3"));
         assert!(text.contains("dol_request_latency_us_count{method=\"query\"} 3"));

@@ -662,6 +662,9 @@ fn stats_json(s: &ServerStats) -> Json {
                 ("logical_reads", int(s.io.logical_reads)),
                 ("physical_reads", int(s.io.physical_reads)),
                 ("physical_writes", int(s.io.physical_writes)),
+                ("evictions", int(s.io.evictions)),
+                ("read_shared", int(s.io.read_shared)),
+                ("read_exclusive_fallback", int(s.io.read_exclusive_fallback)),
                 ("pages_skipped", int(s.io.pages_skipped)),
                 ("backoffs", int(s.io.backoffs)),
                 ("breaker_trips", int(s.io.breaker_trips)),

@@ -390,6 +390,16 @@ fn client_roundtrip_query_update_stats_metrics() {
 
     let stats = c.stats().expect("stats");
     assert!(stats.get("commit").is_some() && stats.get("io").is_some());
+    for counter in ["evictions", "read_shared", "read_exclusive_fallback"] {
+        assert!(
+            stats
+                .get("io")
+                .and_then(|io| io.get(counter))
+                .and_then(Json::as_uint)
+                .is_some(),
+            "io.{counter} missing from the stats reply"
+        );
+    }
     assert_eq!(
         stats
             .get("commit")

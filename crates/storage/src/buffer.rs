@@ -1,4 +1,4 @@
-//! A sharded LRU buffer pool with exact I/O accounting.
+//! A sharded, scan-resistant LRU buffer pool with exact I/O accounting.
 //!
 //! Every page access in the engine goes through [`BufferPool::with_page`] /
 //! [`BufferPool::with_page_mut`]. The pool tracks logical reads (accesses),
@@ -12,15 +12,30 @@
 //!
 //! # Sharding
 //!
-//! [`BufferPool::new`] builds a **single-shard** pool whose LRU decisions and
-//! counter totals are exactly those of the classic one-mutex design — the
-//! experiment harness depends on replaying identical I/O counts.
-//! [`BufferPool::with_shards`] splits the frames across `shards` (rounded up
-//! to a power of two) independent LRU shards, each with its own mutex and
-//! counters; a page's shard is a multiply-shift hash of its [`PageId`], so
-//! concurrent workers touching disjoint pages rarely contend.
+//! [`BufferPool::new`] builds a **single-shard** pool whose replacement
+//! decisions and counter totals are a deterministic function of the access
+//! sequence — the experiment harness depends on replaying identical I/O
+//! counts. [`BufferPool::with_shards`] splits the frames across `shards`
+//! (rounded up to a power of two) independent shards, each with its own
+//! lock, recency order and counters; a page's shard is a multiply-shift hash
+//! of its [`PageId`], so concurrent workers touching disjoint pages rarely
+//! contend.
 //! [`BufferPool::stats`] aggregates across shards and
 //! [`BufferPool::shard_stats`] exposes the per-shard breakdown.
+//!
+//! # Replacement
+//!
+//! The victim is always the resident frame with the oldest access stamp
+//! (LRU), and every hit restamps its frame. Where a *missed* page enters
+//! the recency order depends on the access: a [`BufferPool::with_page`]
+//! read miss that evicts uses bimodal insertion — it takes the victim's
+//! stamp (the LRU end), except every [`BIP_PROMOTE_EVERY`]-th such eviction
+//! per shard, which takes the fresh tick (the MRU end). A query that scans
+//! more pages than the pool holds then churns through a few frames instead
+//! of evicting every page just before the next query needs it. Misses into
+//! free frames, reloads from a transaction's shadow and every
+//! [`BufferPool::with_page_mut`] miss enter at the MRU end, so cold fills,
+//! update transactions and the spill path behave as under plain LRU.
 //!
 //! Within one shard the pool is **not re-entrant**: accessing a page from
 //! within an access to a page of the same shard panics instead of
@@ -91,6 +106,17 @@ use std::sync::Arc;
 /// [`RetryPolicy::max_attempts`] default; tune per pool with
 /// [`BufferPool::set_retry_policy`]).
 pub const MAX_IO_ATTEMPTS: u32 = 4;
+
+/// Bimodal insertion period (Qureshi et al., ISCA 2007): every
+/// `BIP_PROMOTE_EVERY`-th read miss that evicts in a shard enters at the MRU
+/// end instead of the LRU end (see the module docs, "Replacement").
+///
+/// Migration bound: every run of `BIP_PROMOTE_EVERY` read-miss evictions
+/// pins one more missed page at the MRU end, where hits keep it, so a new
+/// working set of `w` pages that fits the shard becomes fully resident
+/// within about `BIP_PROMOTE_EVERY × w` read misses; the unit tests check
+/// `(BIP_PROMOTE_EVERY + 1) × w`.
+pub const BIP_PROMOTE_EVERY: u64 = 32;
 
 /// Default auto-checkpoint threshold: a commit that leaves more than this
 /// many bytes in the attached WAL triggers a checkpoint (flush + sync +
@@ -255,6 +281,21 @@ struct Frame {
 struct Inner {
     frames: Vec<Frame>,
     map: HashMap<PageId, usize>,
+    /// Bimodal insertions so far: every [`BIP_PROMOTE_EVERY`]-th is
+    /// promoted to the MRU end. Not an I/O counter —
+    /// [`BufferPool::reset_stats`] leaves it alone, so the schedule depends
+    /// only on the shard's access history.
+    read_miss_evictions: u64,
+}
+
+/// Where a missed page enters the recency order of a full shard.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Insertion {
+    /// At the MRU end (classic LRU): fresh tick.
+    Mru,
+    /// At the LRU end, with every [`BIP_PROMOTE_EVERY`]-th eviction promoted
+    /// to the MRU end (bimodal insertion).
+    Bimodal,
 }
 
 /// The LRU victim: the resident frame with the oldest access tick.
@@ -414,7 +455,8 @@ impl Drop for HeldShard {
     }
 }
 
-/// A fixed-capacity sharded LRU page cache over a [`Disk`].
+/// A fixed-capacity sharded page cache over a [`Disk`]: LRU victims,
+/// bimodal insertion of read misses (see the module docs).
 ///
 /// Access is closure-scoped ([`with_page`](BufferPool::with_page)); pages are
 /// never pinned across calls, so eviction can always make progress. Shards
@@ -467,18 +509,19 @@ pub struct BufferPool {
 
 impl BufferPool {
     /// Creates a single-shard pool caching at most `capacity` pages of
-    /// `disk`. LRU behavior and I/O counters are deterministic and identical
-    /// to the classic single-mutex pool.
+    /// `disk`. Replacement (LRU victims, bimodal insertion of read misses)
+    /// and I/O counters are deterministic for a given access sequence.
     pub fn new(disk: Arc<dyn Disk>, capacity: usize) -> Self {
         Self::with_shards(disk, capacity, 1)
     }
 
-    /// Creates a pool of `shards` independent LRU shards (rounded up to a
-    /// power of two) sharing `capacity` frames as evenly as possible, each
-    /// shard getting at least one frame. Use for concurrent workloads where
-    /// single-mutex contention matters; counter *totals* remain exact, but
+    /// Creates a pool of `shards` independent shards (rounded up to a power
+    /// of two) sharing `capacity` frames as evenly as possible, each shard
+    /// getting at least one frame. Use for concurrent workloads where
+    /// single-lock contention matters; counter *totals* remain exact, but
     /// eviction decisions differ from the single-shard pool because each
-    /// shard only sees its own pages.
+    /// shard keeps its own recency order and [`BIP_PROMOTE_EVERY`] schedule
+    /// over only its own pages.
     pub fn with_shards(disk: Arc<dyn Disk>, capacity: usize, shards: usize) -> Self {
         assert!(capacity > 0, "buffer pool needs at least one frame");
         assert!(shards > 0, "buffer pool needs at least one shard");
@@ -489,6 +532,7 @@ impl BufferPool {
                 inner: RwLock::new(Inner {
                     frames: Vec::with_capacity(per_shard),
                     map: HashMap::new(),
+                    read_miss_evictions: 0,
                 }),
                 tick: AtomicU64::new(0),
                 stats: AtomicIoStats::default(),
@@ -771,7 +815,7 @@ impl BufferPool {
             .stats
             .read_exclusive_fallback
             .fetch_add(1, Ordering::Relaxed);
-        let slot = self.fetch(shard, &mut inner, id)?;
+        let slot = self.fetch(shard, &mut inner, id, Insertion::Bimodal)?;
         shard.stats.logical_reads.fetch_add(1, Ordering::Relaxed);
         Ok(f(&inner.frames[slot].page))
     }
@@ -787,7 +831,7 @@ impl BufferPool {
         let shard = self.shard_of(id);
         let _held = HeldShard::enter(shard);
         let mut inner = shard.inner.write();
-        let slot = self.fetch(shard, &mut inner, id)?;
+        let slot = self.fetch(shard, &mut inner, id, Insertion::Mru)?;
         shard.stats.logical_reads.fetch_add(1, Ordering::Relaxed);
         if self.txn_active.load(Ordering::Acquire) {
             let mut txn = self.txn.lock();
@@ -1497,7 +1541,20 @@ impl BufferPool {
 
     /// Ensures `id` is resident in `shard`; returns its frame slot. Caller
     /// holds the shard's exclusive lock (`inner`).
-    fn fetch(&self, shard: &Shard, inner: &mut Inner, id: PageId) -> Result<usize, StorageError> {
+    ///
+    /// A miss into a free frame, a reload from the transaction shadow and
+    /// every [`Insertion::Mru`] miss stamp the fresh tick. A
+    /// [`Insertion::Bimodal`] miss that evicts and reads the disk takes the
+    /// victim's stamp instead — it becomes the next victim unless a hit
+    /// promotes it — except every [`BIP_PROMOTE_EVERY`]-th such eviction in
+    /// the shard, which stamps the fresh tick.
+    fn fetch(
+        &self,
+        shard: &Shard,
+        inner: &mut Inner,
+        id: PageId,
+        insertion: Insertion,
+    ) -> Result<usize, StorageError> {
         let tick = shard.tick.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(&slot) = inner.map.get(&id) {
             inner.frames[slot].last_used.store(tick, Ordering::Relaxed);
@@ -1541,7 +1598,16 @@ impl BufferPool {
             shard.stats.evictions.fetch_add(1, Ordering::Relaxed);
             inner.frames[slot].id = id;
             inner.frames[slot].dirty = false;
-            inner.frames[slot].last_used.store(tick, Ordering::Relaxed);
+            let mru = if insertion == Insertion::Bimodal && shadow_page.is_none() {
+                inner.read_miss_evictions += 1;
+                inner.read_miss_evictions.is_multiple_of(BIP_PROMOTE_EVERY)
+            } else {
+                true
+            };
+            // Otherwise the frame keeps the victim's stamp: the LRU end.
+            if mru {
+                inner.frames[slot].last_used.store(tick, Ordering::Relaxed);
+            }
             slot
         };
         if let Some(page) = shadow_page {
@@ -2749,5 +2815,89 @@ mod tests {
         pool.txn_rollback_to_savepoint().unwrap();
         pool.txn_commit().unwrap();
         assert_eq!(pool.with_page(ids[0], |p| p.get_u32(0)).unwrap(), 5);
+    }
+
+    /// A single-shard pool of `capacity` frames over `pages` fresh pages.
+    fn scan_pool(capacity: usize, pages: usize) -> (BufferPool, Vec<PageId>) {
+        let disk = Arc::new(MemDisk::new());
+        let ids: Vec<PageId> = (0..pages).map(|_| disk.allocate_page().unwrap()).collect();
+        (BufferPool::new(disk, capacity), ids)
+    }
+
+    /// Reads `ids` in order `passes` times; the physical reads of each pass.
+    fn cyclic_pass_misses(pool: &BufferPool, ids: &[PageId], passes: usize) -> Vec<u64> {
+        (0..passes)
+            .map(|_| {
+                let before = pool.stats().physical_reads;
+                for &id in ids {
+                    pool.with_page(id, |_| ()).unwrap();
+                }
+                pool.stats().physical_reads - before
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cyclic_scan_larger_than_the_pool_keeps_most_pages_resident() {
+        // 96 pages cycled through 64 frames: exact LRU would evict every
+        // page just before its next use and miss all 96 on every pass.
+        let run = || {
+            let (pool, ids) = scan_pool(64, 96);
+            cyclic_pass_misses(&pool, &ids, 10)
+        };
+        let misses = run();
+        assert_eq!(misses[0], 96, "the first pass is cold");
+        assert!(
+            misses[1..].iter().all(|&m| m <= 40),
+            "bimodal insertion must keep most of the scan resident: {misses:?}"
+        );
+        assert_eq!(misses, vec![96, 34, 34, 34, 34, 34, 34, 34, 34, 34]);
+        assert_eq!(run(), misses, "the promotion schedule is deterministic");
+    }
+
+    #[test]
+    fn new_working_set_migrates_in_within_the_bound() {
+        let (pool, ids) = scan_pool(64, 136);
+        let (scan, fresh) = ids.split_at(96);
+        cyclic_pass_misses(&pool, scan, 10);
+        // A disjoint 40-page set read cyclically must become fully resident
+        // (a pass with zero misses) within (BIP_PROMOTE_EVERY + 1) × 40
+        // read misses.
+        let mut total = 0;
+        loop {
+            let m = cyclic_pass_misses(&pool, fresh, 1)[0];
+            if m == 0 {
+                break;
+            }
+            total += m;
+            assert!(
+                total <= (BIP_PROMOTE_EVERY + 1) * fresh.len() as u64,
+                "migration exceeded its bound after {total} misses"
+            );
+        }
+        assert_eq!(total, 1231);
+    }
+
+    #[test]
+    fn write_misses_enter_at_the_mru_end() {
+        // Two frames hold a (older) and b; a miss on c evicts a. A read miss
+        // keeps a's LRU-end stamp, so the next miss (d) evicts c again; a
+        // write miss takes the fresh tick, so d evicts b and c survives.
+        for write in [false, true] {
+            let (pool, ids) = scan_pool(2, 4);
+            let (a, b, c, d) = (ids[0], ids[1], ids[2], ids[3]);
+            pool.with_page(a, |_| ()).unwrap();
+            pool.with_page(b, |_| ()).unwrap();
+            if write {
+                pool.with_page_mut(c, |p| p.put_u32(0, 3)).unwrap();
+            } else {
+                pool.with_page(c, |_| ()).unwrap();
+            }
+            pool.with_page(d, |_| ()).unwrap();
+            let survivor = if write { c } else { b };
+            let before = pool.stats().physical_reads;
+            pool.with_page(survivor, |_| ()).unwrap();
+            assert_eq!(pool.stats().physical_reads, before, "write miss: {write}");
+        }
     }
 }

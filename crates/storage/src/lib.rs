@@ -14,7 +14,8 @@
 //! * [`disk`] — a [`Disk`] trait with an in-memory simulator ([`MemDisk`])
 //!   and a real file backend ([`FileDisk`]), both using 4 KiB pages as in the
 //!   paper's experiments.
-//! * [`buffer`] — an LRU [`BufferPool`] with dirty tracking and exact
+//! * [`buffer`] — a scan-resistant LRU [`BufferPool`] (read misses enter at
+//!   the LRU end, bimodal insertion) with dirty tracking and exact
 //!   logical/physical I/O statistics ([`IoStats`]); the experiment harness
 //!   reads these counters to reproduce the paper's I/O arguments.
 //! * [`nok`] — the NoK succinct document-order block encoding

@@ -97,6 +97,14 @@ fn write_blob(pool: &BufferPool, bytes: &[u8]) -> Result<PageId, StorageError> {
 
 /// Reads a chained blob of `total` bytes starting at `head`.
 fn read_blob(pool: &BufferPool, head: PageId, total: u64) -> Result<Vec<u8>, DbError> {
+    // Page budget: the chain cannot be longer than the image, so a catalog
+    // claiming more bytes than that is refused before anything is allocated.
+    let budget = u64::from(pool.disk().num_pages()) * BLOB_CAP as u64;
+    if total > budget {
+        return Err(invalid_data(format!(
+            "catalog claims a {total}-byte meta blob, the image holds at most {budget}"
+        )));
+    }
     let mut out = Vec::with_capacity(total as usize);
     let mut page = head;
     // Chain-length bound: a cycle or a lying catalog terminates the walk.
@@ -174,6 +182,17 @@ fn decode_meta(bytes: &[u8]) -> Result<MetaParts, DbError> {
         fn u64(&mut self) -> Result<u64, DbError> {
             Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
         }
+        /// A count of `record`-byte records that must fit in the rest of
+        /// the blob: bounds the preallocation by the bytes actually there.
+        fn count(&self, n: u64, record: usize) -> Result<usize, DbError> {
+            if n > (self.0.len() / record) as u64 {
+                return Err(invalid_data(format!(
+                    "meta blob claims {n} records of {record} bytes in {} bytes",
+                    self.0.len()
+                )));
+            }
+            Ok(n as usize)
+        }
     }
     let mut r = Reader(bytes);
     let cb_len = r.u64()? as usize;
@@ -181,12 +200,14 @@ fn decode_meta(bytes: &[u8]) -> Result<MetaParts, DbError> {
     let tag_len = r.u64()? as usize;
     let tag_blob = r.take(tag_len)?.to_vec();
     let value_tail = r.u64()?;
-    let n_pages = r.u32()? as usize;
+    let n_pages = r.u32()?;
+    let n_pages = r.count(n_pages.into(), 4)?;
     let mut value_pages = Vec::with_capacity(n_pages);
     for _ in 0..n_pages {
         value_pages.push(PageId(r.u32()?));
     }
-    let n_index = r.u64()? as usize;
+    let n_index = r.u64()?;
+    let n_index = r.count(n_index, 20)?;
     let mut value_index = Vec::with_capacity(n_index);
     for _ in 0..n_index {
         let pos = r.u64()?;
@@ -513,7 +534,8 @@ impl SecureXmlDb {
 
 #[cfg(test)]
 mod tests {
-    use crate::{SecureXmlDb, Security};
+    use super::*;
+    use crate::Security;
     use dol_acl::{AccessibilityMap, SubjectId};
     use dol_xml::NodeId;
 
@@ -597,6 +619,65 @@ mod tests {
         let path = tmp("garbage.dolx");
         std::fs::write(&path, vec![0u8; 8192]).unwrap();
         assert!(SecureXmlDb::open_from(&path).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    fn is_invalid_data(e: &DbError) -> bool {
+        matches!(e, DbError::Storage(StorageError::Io(io))
+            if io.kind() == std::io::ErrorKind::InvalidData)
+    }
+
+    /// Saves a small database to `name`; returns its path and a pool over
+    /// the image file.
+    fn saved_image(name: &str) -> (std::path::PathBuf, BufferPool) {
+        let db = all_access_db("<a><b><c>v1</c></b><d>v2</d></a>");
+        let path = tmp(name);
+        db.save_to(&path).unwrap();
+        let pool = BufferPool::new(Arc::new(FileDisk::open(&path).unwrap()), 16);
+        (path, pool)
+    }
+
+    #[test]
+    fn crafted_catalog_blob_length_is_refused_without_allocating() {
+        for (i, meta_bytes) in [1u64 << 40, u64::MAX].into_iter().enumerate() {
+            let (path, pool) = saved_image(&format!("crafted-catalog-{i}.dolx"));
+            // Rewritten through the pool, so page 0's checksum stays valid.
+            pool.with_page_mut(PageId(0), |p| p.put_u64(20, meta_bytes))
+                .unwrap();
+            pool.flush_all().unwrap();
+            drop(pool);
+            let err = SecureXmlDb::open_from(&path).err().expect("must refuse");
+            assert!(is_invalid_data(&err), "meta_bytes {meta_bytes}: {err}");
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn crafted_meta_counts_are_refused_without_allocating() {
+        let (path, pool) = saved_image("crafted-meta.dolx");
+        let (head, total) = pool
+            .with_page(PageId(0), |p| (PageId(p.get_u32(16)), p.get_u64(20)))
+            .unwrap();
+        let blob = read_blob(&pool, head, total).unwrap();
+        assert!(decode_meta(&blob).is_ok());
+        // Walk the layout to the two counts: codebook, tag table, tail.
+        let u64_at = |at: usize| u64::from_le_bytes(blob[at..at + 8].try_into().unwrap());
+        let mut at = 8 + u64_at(0) as usize;
+        at += 8 + u64_at(at) as usize + 8;
+        let n_pages_at = at;
+        let n_pages = u32::from_le_bytes(blob[at..at + 4].try_into().unwrap());
+        let n_index_at = at + 4 + 4 * n_pages as usize;
+        assert_eq!(
+            blob.len(),
+            n_index_at + 8 + 20 * u64_at(n_index_at) as usize
+        );
+
+        let mut crafted = blob.clone();
+        crafted[n_pages_at..n_pages_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(is_invalid_data(&decode_meta(&crafted).err().unwrap()));
+        let mut crafted = blob;
+        crafted[n_index_at..n_index_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(is_invalid_data(&decode_meta(&crafted).err().unwrap()));
         std::fs::remove_file(&path).ok();
     }
 
