@@ -19,6 +19,7 @@
 //! the fatal write at a sector boundary). The raw disks are then reopened —
 //! running real WAL recovery — integrity-checked, and fingerprinted.
 
+use crate::setup::{fnv, FNV_OFFSET};
 use crate::table::Table;
 use crate::Effort;
 use rand::rngs::StdRng;
@@ -155,17 +156,10 @@ fn gen_op(rng: &mut StdRng, db: &SecureXmlDb, step: usize) -> Op {
     }
 }
 
-fn fnv(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}
-
 /// FNV-1a over everything observable: document shape, accessibility matrix,
 /// values, and the secure answers of [`QUERIES`] under every subject.
 fn fingerprint(db: &SecureXmlDb) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    let mut h = FNV_OFFSET;
     fnv(&mut h, db.document().to_xml().as_bytes());
     let width = db.dol().codebook().width() as u32;
     fnv(&mut h, &u64::from(width).to_le_bytes());

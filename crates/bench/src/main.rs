@@ -9,7 +9,7 @@
 //! `compile` experiments' deterministic schedules. `--clients=N` caps the
 //! `serve` experiment's client sweep, and `--smoke` makes `serve` run a
 //! small pinned configuration that asserts determinism, zero oracle divergences, zero
-//! stale-read errors, and a >90% shared-latch ratio, shrinks the `soak`
+//! read-only snapshot refreshes, and a >90% shared-latch ratio, shrinks the `soak`
 //! chaos schedule to CI size (its gates — zero wrong answers, zero
 //! unrecovered poison windows, breaker trip/probe and deadline-abort
 //! coverage — are asserted in every mode), and pins the `compile`

@@ -33,11 +33,10 @@
 //! reopen — is asserted in every mode; `--smoke` only shrinks sizes. The
 //! counters go to `BENCH_net.json`.
 
-use crate::setup::{xmark_doc, TABLE1};
+use crate::setup::{security_of, table1_oracle, xmark_doc, OpKey, Oracle, TABLE1};
 use crate::table::Table;
 use crate::Effort;
 use dol_acl::SubjectId;
-use dol_nok::Security;
 use dol_server::{
     frame, proto, Client, ClientError, ErrorCode, Method, Request, Server, ServerConfig, UpdateOp,
     WireSemantics,
@@ -46,7 +45,6 @@ use dol_workloads::{synth_multi, SynthAclConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use secure_xml::SecureXmlDb;
-use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write as _};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -57,19 +55,6 @@ use std::time::Duration;
 const SUBJECTS: usize = 3;
 /// Client processes in the byte-identity phase.
 const CLIENTS: usize = 3;
-
-/// Oracle key: (Table-1 query index, subject, subtree-visibility?).
-type OpKey = (usize, u32, bool);
-type Oracle = HashMap<OpKey, Vec<u64>>;
-
-fn security_of(key: OpKey) -> Security {
-    let s = SubjectId(key.1);
-    if key.2 {
-        Security::SubtreeVisibility(s)
-    } else {
-        Security::BindingLevel(s)
-    }
-}
 
 fn draw_op(rng: &mut StdRng) -> OpKey {
     (
@@ -100,21 +85,6 @@ fn parse_key(line: &str) -> Option<(OpKey, &str)> {
     let subject: u32 = parts.next()?.parse().ok()?;
     let vis: u8 = parts.next()?.parse().ok()?;
     Some(((qi, subject, vis == 1), rest))
-}
-
-/// The full Table-1 × subject × semantics suite, answered in-process.
-fn oracle_of(db: &SecureXmlDb) -> Oracle {
-    let mut oracle = HashMap::new();
-    for (qi, (_, query)) in TABLE1.iter().enumerate() {
-        for subject in 0..SUBJECTS as u32 {
-            for vis in [false, true] {
-                let key = (qi, subject, vis);
-                let r = db.query(query, security_of(key)).expect("oracle query");
-                oracle.insert(key, r.matches);
-            }
-        }
-    }
-    oracle
 }
 
 // ---------------------------------------------------------------- children
@@ -400,7 +370,7 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
         .save_to(&image)
         .expect("persist image");
     let mut mirror = SecureXmlDb::from_document(xmark_doc(scale), &map).expect("build oracle twin");
-    let mut oracle = oracle_of(&mirror);
+    let mut oracle = table1_oracle(&mirror, 0..SUBJECTS as u32);
 
     let mut t = Table::new(
         &format!(
@@ -463,7 +433,7 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
     let mut b_served = 0u64;
     for k in 0..updates {
         wire_update(&mut ctl, &mut mirror, &mut upd_rng);
-        oracle = oracle_of(&mirror);
+        oracle = table1_oracle(&mirror, 0..SUBJECTS as u32);
         b_served += assert_suite_exact(&server.addr, &oracle, &scratch, &format!("update-{k}"));
     }
 
@@ -618,7 +588,7 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
     }
     assert!(ctl.recover().expect("recover"), "recover ran nothing");
     wire_update(&mut ctl, &mut mirror, &mut upd_rng);
-    oracle = oracle_of(&mirror);
+    oracle = table1_oracle(&mirror, 0..SUBJECTS as u32);
     let healed_served = assert_suite_exact(&server.addr, &oracle, &scratch, "healed");
     t.row(&[
         "D poison".into(),

@@ -8,11 +8,10 @@
 //! `Arc`, so the serving path takes no database-wide lock — page accesses on
 //! the warm buffer pool take *shared* latches, and warm result-cache hits do
 //! no page I/O at all. An optional writer interleaves single-node ACL
-//! updates; with the MVCC epoch ring (the default protocol) overtaken
-//! readers keep serving their pinned epoch, so a snapshot refresh happens
-//! only when a reader outlives the retention window (`RetentionExceeded`,
-//! the `query_with_retry` fallback) — a `StaleReader` retry would mean the
-//! ring failed and is gated to zero in every mix.
+//! updates; with the MVCC epoch ring overtaken readers keep serving their
+//! pinned epoch, so a snapshot refresh happens only when a reader outlives
+//! the retention window (`RetentionExceeded`, the `query_with_retry`
+//! fallback), and never in a read-only mix.
 //!
 //! Every [`PROBE_EVERY`]-th operation carries an already-expired deadline;
 //! whatever the cache holds, its outcome is accounted a **bounded refusal**
@@ -21,28 +20,26 @@
 //! would let the in-process and wire availability columns disagree).
 //!
 //! Reported per client count: QPS, p50/p99 latency, plan/result cache hit
-//! rates, the shared-vs-exclusive page-latch ratio, stale retries, and an
+//! rates, the shared-vs-exclusive page-latch ratio, snapshot refreshes, and an
 //! order-independent fingerprint of every result (equal across same-seed
 //! runs — re-checked here by running one mix twice). Every read-only result
 //! is also compared against a sequential oracle computed up front. Machine-
 //! readable output goes to `BENCH_serve.json`.
 //!
 //! `--smoke` runs a pinned-seed configuration and asserts determinism, zero
-//! divergences, zero stale-read errors, and a >90% shared-latch ratio on the
-//! read-only mix. Throughput is *reported but not gated*: the CI container
+//! divergences and zero refreshes on the read-only mixes, and a >90%
+//! shared-latch ratio. Throughput is *reported but not gated*: the CI container
 //! has a single CPU, so thread scaling is measured for shape, not asserted.
 
-use crate::setup::{xmark_doc, TABLE1};
+use crate::setup::{fnv, security_of, table1_oracle, xmark_doc, OpKey, Oracle, FNV_OFFSET, TABLE1};
 use crate::table::{pct, Table};
 use crate::Effort;
 use dol_acl::{GroupSpace, SubjectId};
-use dol_nok::Security;
 use dol_storage::IoStats;
 use dol_workloads::{synth_multi, SynthAclConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use secure_xml::{CacheStats, DbError, Deadline, ExecOptions, SecureXmlDb};
-use std::collections::HashMap;
 use std::io::Write as _;
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
@@ -54,11 +51,10 @@ pub const DEFAULT_SEED: u64 = 20050405;
 const SUBJECTS: usize = 4;
 /// Zipf exponent of the query-mix weights.
 const ZIPF_EXPONENT: f64 = 1.0;
-/// Per-operation bound on snapshot-refresh retries before
-/// [`secure_xml::DbReader::query_with_retry`] gives up and the client
-/// counts a stale-read *error* (never hit in practice: the writer is
-/// finite, so some retry always lands in a quiet epoch).
-const MAX_STALE_RETRIES: u32 = 1000;
+/// Per-operation bound on snapshot refreshes; exhausting it panics (never
+/// hit in practice: a fresh snapshot is inside the retention window until
+/// the writer commits that many more times).
+const MAX_REFRESHES: u32 = 1000;
 /// Every `PROBE_EVERY`-th operation (offset [`PROBE_OFFSET`]) carries an
 /// already-expired deadline. Whatever the cache state, the outcome is a
 /// **bounded refusal**: a cold probe aborts with the typed
@@ -101,14 +97,9 @@ struct MixReport {
     result_hit_rate: f64,
     shared_reads: u64,
     exclusive_fallbacks: u64,
-    /// Snapshot refreshes caused by `StaleReader` — the legacy protocol's
-    /// cost. With the epoch ring enabled this must stay 0: pinned readers
-    /// are never evicted by writers.
-    stale_retries: u64,
-    /// Snapshot refreshes caused by `RetentionExceeded` — the MVCC
-    /// fallback for readers held past the retention window.
+    /// Snapshot refreshes caused by `RetentionExceeded` — the fallback for
+    /// readers held past the retention window.
     retention_refreshes: u64,
-    stale_errors: u64,
     divergences: u64,
     /// Expired-deadline probe operations — all of them refused, whether the
     /// refusal was a typed `DeadlineExceeded` abort (cold) or a warm
@@ -133,15 +124,15 @@ impl MixReport {
         self.shared_reads as f64 / total as f64
     }
 
-    /// Fraction of query operations that produced an answer. Both failure
-    /// classes are subtracted: exhausted stale-retry budgets *and* bounded
-    /// refusals — a warm-cache `Ok` under an expired deadline counts as
-    /// refused, exactly as the wire front door accounts it.
+    /// Fraction of query operations that produced an answer: bounded
+    /// refusals are subtracted — a warm-cache `Ok` under an expired
+    /// deadline counts as refused, exactly as the wire front door accounts
+    /// it.
     fn availability(&self) -> f64 {
         if self.queries == 0 {
             return 1.0;
         }
-        (self.queries - self.stale_errors - self.bounded_refusals) as f64 / self.queries as f64
+        (self.queries - self.bounded_refusals) as f64 / self.queries as f64
     }
 }
 
@@ -149,20 +140,11 @@ struct ClientOutcome {
     latencies_ns: Vec<u64>,
     queries: u64,
     updates: u64,
-    stale_retries: u64,
     retention_refreshes: u64,
-    stale_errors: u64,
     divergences: u64,
     bounded_refusals: u64,
     warm_refusals: u64,
     fingerprint: u64,
-}
-
-/// Oracle key: (Table-1 query index, subject, subtree-visibility?).
-type OpKey = (usize, u32, bool);
-
-fn fnv_fold(h: u64, x: u64) -> u64 {
-    (h ^ x).wrapping_mul(0x0000_0100_0000_01b3)
 }
 
 /// Zipf cumulative weights over the Table-1 queries.
@@ -188,31 +170,6 @@ fn draw_op(rng: &mut StdRng, cum: &[f64], pool: &[u32]) -> OpKey {
     let subject = pool[rng.gen_range(0..pool.len())];
     let subtree_vis = rng.gen_bool(0.25);
     (qi, subject, subtree_vis)
-}
-
-fn security_of(key: OpKey) -> Security {
-    let s = SubjectId(key.1);
-    if key.2 {
-        Security::SubtreeVisibility(s)
-    } else {
-        Security::BindingLevel(s)
-    }
-}
-
-/// Sequential answers for every possible operation, through the uncached
-/// `SecureXmlDb::query` path.
-fn sequential_oracle(db: &SecureXmlDb, pool: &[u32]) -> HashMap<OpKey, Vec<u64>> {
-    let mut oracle = HashMap::new();
-    for (qi, (_, query)) in TABLE1.iter().enumerate() {
-        for &subject in pool {
-            for subtree_vis in [false, true] {
-                let key = (qi, subject, subtree_vis);
-                let r = db.query(query, security_of(key)).expect("oracle query");
-                oracle.insert(key, r.matches);
-            }
-        }
-    }
-    oracle
 }
 
 fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
@@ -244,11 +201,7 @@ fn hit_rate(hits: u64, misses: u64) -> f64 {
 
 /// Runs one serving mix and gathers its report. The oracle check only
 /// applies to read-only mixes (updates change the answers mid-run).
-fn run_mix(
-    db: &Arc<RwLock<SecureXmlDb>>,
-    oracle: &HashMap<OpKey, Vec<u64>>,
-    cfg: &MixConfig,
-) -> MixReport {
+fn run_mix(db: &Arc<RwLock<SecureXmlDb>>, oracle: &Oracle, cfg: &MixConfig) -> MixReport {
     let (io0, cache0) = {
         let g = db.read().expect("db lock");
         (g.io_stats(), g.cache_stats())
@@ -294,9 +247,7 @@ fn run_mix(
         result_hit_rate: hit_rate(caches.result_hits, caches.result_misses),
         shared_reads: io.read_shared,
         exclusive_fallbacks: io.read_exclusive_fallback,
-        stale_retries: outcomes.iter().map(|o| o.stale_retries).sum(),
         retention_refreshes: outcomes.iter().map(|o| o.retention_refreshes).sum(),
-        stale_errors: outcomes.iter().map(|o| o.stale_errors).sum(),
         divergences: outcomes.iter().map(|o| o.divergences).sum(),
         bounded_refusals: outcomes.iter().map(|o| o.bounded_refusals).sum(),
         warm_refusals: outcomes.iter().map(|o| o.warm_refusals).sum(),
@@ -308,7 +259,7 @@ fn run_mix(
 
 fn run_client(
     db: &Arc<RwLock<SecureXmlDb>>,
-    oracle: &HashMap<OpKey, Vec<u64>>,
+    oracle: &Oracle,
     cfg: &MixConfig,
     client: usize,
     cum: &[f64],
@@ -320,13 +271,11 @@ fn run_client(
         latencies_ns: Vec::with_capacity(cfg.ops_per_client),
         queries: 0,
         updates: 0,
-        stale_retries: 0,
         retention_refreshes: 0,
-        stale_errors: 0,
         divergences: 0,
         bounded_refusals: 0,
         warm_refusals: 0,
-        fingerprint: 0xcbf2_9ce4_8422_2325, // FNV-1a offset basis
+        fingerprint: FNV_OFFSET,
     };
     for op in 0..cfg.ops_per_client {
         if cfg.update_every > 0 && client == 0 && (op + 1) % cfg.update_every == 0 {
@@ -356,10 +305,6 @@ fn run_client(
                         break;
                     }
                     Err(DbError::DeadlineExceeded(_)) => break,
-                    Err(DbError::StaleReader { .. }) => {
-                        out.stale_retries += 1;
-                        reader = db.read().expect("db lock").reader();
-                    }
                     Err(DbError::RetentionExceeded { .. }) => {
                         out.retention_refreshes += 1;
                         reader = db.read().expect("db lock").reader();
@@ -375,49 +320,32 @@ fn run_client(
         let key = draw_op(&mut rng, cum, &cfg.pool);
         let security = security_of(key);
         let t0 = Instant::now();
-        // The same refresh loop `query_with_retry` runs, unrolled here so
-        // the two snapshot-refresh causes are counted apart: `StaleReader`
-        // is the legacy protocol's eviction (gated to zero under the epoch
-        // ring), `RetentionExceeded` the MVCC fallback for a snapshot held
-        // past the retention window.
-        let mut attempts = 0u32;
-        let outcome = loop {
+        // The refresh loop `query_with_retry` runs, unrolled here so the
+        // refreshes are counted.
+        let mut refreshes = 0u32;
+        let result = loop {
             match reader.query(TABLE1[key.0].1, security) {
-                Err(e) if attempts < MAX_STALE_RETRIES => {
-                    match e {
-                        DbError::StaleReader { .. } => out.stale_retries += 1,
-                        DbError::RetentionExceeded { .. } => out.retention_refreshes += 1,
-                        other => break Err(other),
-                    }
-                    attempts += 1;
+                Ok(r) => break r,
+                Err(DbError::RetentionExceeded { .. }) if refreshes < MAX_REFRESHES => {
+                    refreshes += 1;
+                    out.retention_refreshes += 1;
                     reader = db.read().expect("db lock").reader();
                 }
-                other => break other,
+                Err(e) => panic!("client {client} query failed: {e}"),
             }
-        };
-        let result = match outcome {
-            Ok(r) => Some(r),
-            Err(DbError::StaleReader { .. } | DbError::RetentionExceeded { .. }) => {
-                out.stale_errors += 1;
-                None
-            }
-            Err(e) => panic!("client {client} query failed: {e}"),
         };
         out.latencies_ns.push(t0.elapsed().as_nanos() as u64);
         out.queries += 1;
-        let Some(result) = result else { continue };
         // Fingerprint the (operation, answer) pair, order-sensitively
         // within this client's deterministic stream.
-        let mut h = out.fingerprint;
-        h = fnv_fold(h, op as u64);
-        h = fnv_fold(h, key.0 as u64);
-        h = fnv_fold(h, u64::from(key.1));
-        h = fnv_fold(h, u64::from(key.2));
-        h = fnv_fold(h, result.matches.len() as u64);
-        for &m in &result.matches {
-            h = fnv_fold(h, m);
+        let h = &mut out.fingerprint;
+        let len = result.matches.len() as u64;
+        for x in [op as u64, key.0 as u64, key.1.into(), key.2.into(), len] {
+            fnv(h, &x.to_le_bytes());
         }
-        out.fingerprint = h;
+        for m in &result.matches {
+            fnv(h, &m.to_le_bytes());
+        }
         if cfg.update_every == 0 {
             match oracle.get(&key) {
                 Some(expect) if *expect == result.matches => {}
@@ -436,8 +364,7 @@ fn json_object(r: &MixReport) -> String {
          \"qps\": {:.1}, \"p50_us\": {:.2}, \"p99_us\": {:.2}, \
          \"plan_hit_rate\": {:.4}, \"plan_compiles\": {}, \"result_hit_rate\": {:.4}, \
          \"shared_reads\": {}, \"exclusive_fallbacks\": {}, \"shared_ratio\": {:.4}, \
-         \"stale_retries\": {}, \"retention_refreshes\": {}, \
-         \"stale_errors\": {}, \"bounded_refusals\": {}, \"warm_refusals\": {}, \
+         \"retention_refreshes\": {}, \"bounded_refusals\": {}, \"warm_refusals\": {}, \
          \"availability\": {:.4}, \
          \"deadline_aborts\": {}, \"divergences\": {}, \
          \"fingerprint\": \"{:#018x}\"}}",
@@ -454,9 +381,7 @@ fn json_object(r: &MixReport) -> String {
         r.shared_reads,
         r.exclusive_fallbacks,
         r.shared_ratio(),
-        r.stale_retries,
         r.retention_refreshes,
-        r.stale_errors,
         r.bounded_refusals,
         r.warm_refusals,
         r.availability(),
@@ -582,7 +507,7 @@ pub fn run(effort: Effort, seed: u64, max_clients: usize, smoke: bool, subjects:
         (db, pool)
     };
     let subject_count = if subjects == 0 { SUBJECTS } else { subjects };
-    let oracle = sequential_oracle(&db, &pool);
+    let oracle = table1_oracle(&db, pool.iter().copied());
     db.reset_io_stats(); // exclude build + oracle I/O from the lock ratios
     let session_io0 = db.io_stats();
     let db = Arc::new(RwLock::new(db));
@@ -603,7 +528,6 @@ pub fn run(effort: Effort, seed: u64, max_clients: usize, smoke: bool, subjects:
             "plan hits",
             "compiles",
             "shared latch",
-            "stale retries",
             "refreshes",
             "avail",
             "refused",
@@ -648,7 +572,8 @@ pub fn run(effort: Effort, seed: u64, max_clients: usize, smoke: bool, subjects:
     push_row(&mut t, &replay);
     runs.push(replay);
 
-    // Update mix: client 0 interleaves ACL updates; stale readers retry.
+    // Update mix: client 0 interleaves ACL updates; readers held past the
+    // retention window refresh.
     let update_cfg = MixConfig {
         clients: 2,
         ops_per_client: ops,
@@ -681,17 +606,6 @@ pub fn run(effort: Effort, seed: u64, max_clients: usize, smoke: bool, subjects:
     if smoke {
         assert!(deterministic, "same-seed replay fingerprint diverged");
         for r in &runs {
-            assert_eq!(
-                r.stale_errors, 0,
-                "stale-read errors escaped the retry loop"
-            );
-            // The headline MVCC gate: with the epoch ring enabled (the
-            // default protocol) a writer never evicts a pinned reader, so
-            // no mix — updates included — may retry on StaleReader.
-            assert_eq!(
-                r.stale_retries, 0,
-                "a StaleReader retry under the epoch ring: a writer evicted a reader"
-            );
             // Bounded-refusal accounting: every expired-deadline probe is
             // deterministic in count, and each one resolves either as a
             // typed cold abort (CacheStats::deadline_aborts) or as a
@@ -759,7 +673,6 @@ fn push_row(t: &mut Table, r: &MixReport) {
         pct(r.plan_hit_rate),
         r.plan_compiles.to_string(),
         pct(r.shared_ratio()),
-        r.stale_retries.to_string(),
         r.retention_refreshes.to_string(),
         pct(r.availability()),
         r.bounded_refusals.to_string(),
@@ -806,7 +719,7 @@ mod tests {
         );
         let db = SecureXmlDb::from_document(doc, &map).unwrap();
         let pool: Vec<u32> = (0..SUBJECTS as u32).collect();
-        let oracle = sequential_oracle(&db, &pool);
+        let oracle = table1_oracle(&db, pool.iter().copied());
         db.reset_io_stats();
         let db = Arc::new(RwLock::new(db));
         let cfg = MixConfig {
@@ -820,12 +733,11 @@ mod tests {
         let b = run_mix(&db, &oracle, &cfg);
         assert_eq!(a.fingerprint, b.fingerprint, "same-seed mixes must agree");
         assert_eq!(a.divergences + b.divergences, 0);
-        assert_eq!(a.stale_retries + b.stale_retries, 0);
         assert_eq!(a.retention_refreshes + b.retention_refreshes, 0);
         assert!(b.result_hit_rate > 0.9, "second run must be cache-warm");
 
-        // And with updates: under the epoch ring the writer never evicts a
-        // reader, so nothing is stale and nothing escapes.
+        // And with updates: every query is answered (an exhausted refresh
+        // budget or any other error panics the client).
         let upd = run_mix(
             &db,
             &oracle,
@@ -838,10 +750,5 @@ mod tests {
             },
         );
         assert!(upd.updates > 0);
-        assert_eq!(upd.stale_errors, 0);
-        assert_eq!(
-            upd.stale_retries, 0,
-            "the ring must keep pinned readers servable"
-        );
     }
 }

@@ -2,10 +2,12 @@
 
 use dol_acl::{AccessOracle, BitVec, SubjectId};
 use dol_core::EmbeddedDol;
-use dol_nok::build_tag_index;
+use dol_nok::{build_tag_index, Security};
 use dol_storage::{BPlusTree, BufferPool, Disk, MemDisk, StoreConfig, StructStore, ValueStore};
 use dol_workloads::{xmark, SynthAclConfig, XmarkConfig};
 use dol_xml::{Document, NodeId, TagId};
+use secure_xml::SecureXmlDb;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A fully-built secured database over a generated document, owning
@@ -155,6 +157,49 @@ pub const Q3_SINGLE_PATH: (&str, &str) = ("Q3'", "/site/categories/category/desc
 
 /// `SubjectId(0)` — the subject used by single-subject experiments.
 pub const SUBJECT: SubjectId = SubjectId(0);
+
+/// One operation of a Table-1 serving mix: (index into [`TABLE1`], subject,
+/// subtree visibility?).
+pub type OpKey = (usize, u32, bool);
+/// Every operation's expected answer.
+pub type Oracle = HashMap<OpKey, Vec<u64>>;
+
+/// The security mode an [`OpKey`] queries under.
+pub fn security_of(key: OpKey) -> Security {
+    let s = SubjectId(key.1);
+    if key.2 {
+        Security::SubtreeVisibility(s)
+    } else {
+        Security::BindingLevel(s)
+    }
+}
+
+/// The answer of every Table-1 query for every subject in `subjects` under
+/// both semantics, through the uncached [`SecureXmlDb::query`] path.
+pub fn table1_oracle(db: &SecureXmlDb, subjects: impl Iterator<Item = u32> + Clone) -> Oracle {
+    let mut oracle = Oracle::new();
+    for (qi, (_, query)) in TABLE1.iter().enumerate() {
+        for subject in subjects.clone() {
+            for vis in [false, true] {
+                let key = (qi, subject, vis);
+                let r = db.query(query, security_of(key)).expect("oracle query");
+                oracle.insert(key, r.matches);
+            }
+        }
+    }
+    oracle
+}
+
+/// The FNV-1a offset basis: the starting state for [`fnv`].
+pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a state `h`.
+pub fn fnv(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+}
 
 #[cfg(test)]
 mod tests {

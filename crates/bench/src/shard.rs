@@ -44,7 +44,7 @@
 //! in-process recoveries) are printed as result-table columns and written
 //! to `BENCH_shard.json`.
 
-use crate::setup::xmark_doc;
+use crate::setup::{fnv, xmark_doc, FNV_OFFSET};
 use crate::table::Table;
 use crate::Effort;
 use dol_acl::SubjectId;
@@ -170,18 +170,11 @@ impl Images {
 // Fingerprints
 // ---------------------------------------------------------------------------
 
-fn fnv(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}
-
 /// FNV-1a over everything observable through the facade: the whole
 /// accessibility matrix plus the secure answers of [`SUITE`] under every
 /// subject. One shard serving the wrong epoch flips the fingerprint.
 fn fingerprint(db: &ShardedDb) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    let mut h = FNV_OFFSET;
     let n = db.len() as u64;
     for s in 0..SUBJECTS as u32 {
         for p in 0..n {

@@ -40,7 +40,8 @@
 //! every served result equals the pre- or post-toggle oracle exactly, or is
 //! a fail-closed *subset* with `blocks_failed_closed > 0`; zero unexpected
 //! errors — only typed availability errors (`BreakerOpen`,
-//! `DeadlineExceeded`) and absorbed `StaleReader` retries ever surface;
+//! `DeadlineExceeded`) and absorbed `RetentionExceeded` refreshes ever
+//! surface;
 //! zero unrecovered poison windows; at least one breaker trip, fast-fail,
 //! and half-open probe; at least one deadline abort, one warm-hit bounded
 //! refusal, and one cancellation, reconciled against
@@ -49,7 +50,7 @@
 //! permanent unavailability. Machine-readable counters go to
 //! `BENCH_soak.json`.
 
-use crate::setup::{xmark_doc, TABLE1};
+use crate::setup::{security_of, table1_oracle, xmark_doc, Oracle, TABLE1};
 use crate::table::Table;
 use crate::Effort;
 use dol_acl::SubjectId;
@@ -81,27 +82,15 @@ const PROBE_SUBJECT: SubjectId = SubjectId(2);
 const READERS: usize = 2;
 /// Updater threads pushing toggle commits through the group committer.
 const UPDATERS: usize = 2;
-/// Snapshot-refresh budget per reader operation (`StaleReader` in legacy
-/// mode, `RetentionExceeded` past the ring window; the updaters are finite
-/// per window, so a retry always lands).
-const MAX_STALE_RETRIES: u32 = 100_000;
+/// Snapshot-refresh budget per reader operation (`RetentionExceeded` past
+/// the ring window; the updaters are finite per window, so a retry always
+/// lands).
+const MAX_REFRESHES: u32 = 100_000;
 
-/// Oracle key: (Table-1 query index, subject, subtree-visibility?).
-type OpKey = (usize, u32, bool);
-type Oracle = HashMap<OpKey, Vec<u64>>;
 /// Epoch → the toggle's post-commit accessibility for subject 1, published
 /// by the commit observer under the committer's write lock. A reader
 /// pinned to a recorded epoch answers exactly that epoch's oracle.
 type EpochStates = Mutex<HashMap<u64, bool>>;
-
-fn security_of(key: OpKey) -> Security {
-    let s = SubjectId(key.1);
-    if key.2 {
-        Security::SubtreeVisibility(s)
-    } else {
-        Security::BindingLevel(s)
-    }
-}
 
 /// Everything the soak counts, shared across reader/updater/driver threads.
 #[derive(Default)]
@@ -128,9 +117,9 @@ struct Counters {
     bounded_refusals: AtomicU64,
     /// `CancelToken` cancellations aborted the same way.
     cancel_aborts: AtomicU64,
-    /// Fresh snapshots taken inside `query_with_retry` (legacy stale
-    /// retries or MVCC retention-window expiries).
-    stale_refreshes: AtomicU64,
+    /// Fresh snapshots taken after a `RetentionExceeded` (retention-window
+    /// expiries).
+    retention_refreshes: AtomicU64,
     /// Answers classified against an observer-recorded *per-epoch* oracle
     /// (the strict check; the rest use the either-oracle fallback).
     epoch_checked: AtomicU64,
@@ -186,22 +175,6 @@ fn classify(c: &Counters, got: &[u64], failed_closed: u64, allow: &[u64], deny: 
     }
 }
 
-/// All answers for every (query, subject, mode), from an in-memory twin
-/// (answers do not depend on the storage stack).
-fn oracle_of(db: &SecureXmlDb) -> Oracle {
-    let mut oracle = Oracle::new();
-    for (qi, (_, query)) in TABLE1.iter().enumerate() {
-        for subject in 0..SUBJECTS as u32 {
-            for vis in [false, true] {
-                let key = (qi, subject, vis);
-                let r = db.query(query, security_of(key)).expect("oracle query");
-                oracle.insert(key, r.matches);
-            }
-        }
-    }
-    oracle
-}
-
 /// The node the updater toggles: the deepest answer subject 1 gets from the
 /// suite, so toggling it visibly changes query results. Some ACL seeds deny
 /// subject 1 every suite answer; then any unsecured suite answer will do —
@@ -234,7 +207,7 @@ fn reader_loop(
 ) {
     let mut rng = StdRng::seed_from_u64(seed ^ (idx as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
     let fresh = |c: &Counters| -> DbReader {
-        c.bump(&c.stale_refreshes);
+        c.bump(&c.retention_refreshes);
         db.read().expect("db lock").reader()
     };
     let mut reader = db.read().expect("db lock").reader();
@@ -260,16 +233,12 @@ fn reader_loop(
                     match reader.query_opts(TABLE1[0].1, sec, opts) {
                         Ok(_) => c.bump(&c.bounded_refusals),
                         Err(DbError::DeadlineExceeded(_)) => c.bump(&c.deadline_aborts),
-                        Err(DbError::StaleReader { .. } | DbError::RetentionExceeded { .. }) => {
-                            reader = fresh(c)
-                        }
+                        Err(DbError::RetentionExceeded { .. }) => reader = fresh(c),
                         Err(e) if is_availability(&e) => c.bump(&c.availability_errors),
                         Err(_) => c.bump(&c.unexpected_errors),
                     }
                 }
-                Err(DbError::StaleReader { .. } | DbError::RetentionExceeded { .. }) => {
-                    reader = fresh(c)
-                }
+                Err(DbError::RetentionExceeded { .. }) => reader = fresh(c),
                 Err(e) if is_availability(&e) => c.bump(&c.availability_errors),
                 Err(_) => c.bump(&c.unexpected_errors),
             }
@@ -287,9 +256,7 @@ fn reader_loop(
                     assert_eq!(stats.blocks_failed_closed, 0, "abort is not fail-closed");
                     c.bump(&c.deadline_aborts);
                 }
-                Err(DbError::StaleReader { .. } | DbError::RetentionExceeded { .. }) => {
-                    reader = fresh(c)
-                }
+                Err(DbError::RetentionExceeded { .. }) => reader = fresh(c),
                 Err(e) if is_availability(&e) => c.bump(&c.availability_errors),
                 Ok(_) => c.bump(&c.unexpected_errors),
                 Err(_) => c.bump(&c.unexpected_errors),
@@ -301,7 +268,7 @@ fn reader_loop(
             rng.gen_range(0..MIX_SUBJECTS),
             rng.gen_bool(0.25),
         );
-        match reader.query_with_retry(TABLE1[key.0].1, security_of(key), MAX_STALE_RETRIES, || {
+        match reader.query_with_retry(TABLE1[key.0].1, security_of(key), MAX_REFRESHES, || {
             fresh(c)
         }) {
             Ok(r) => {
@@ -429,7 +396,7 @@ fn drain_suite(reader: &DbReader, allow: &Oracle, deny: &Oracle, c: &Counters, s
                     served.fetch_add(1, Ordering::Relaxed);
                 }
                 Err(e) if is_availability(&e) => c.bump(&c.availability_errors),
-                Err(DbError::StaleReader { .. } | DbError::RetentionExceeded { .. }) => {}
+                Err(DbError::RetentionExceeded { .. }) => {}
                 Err(e) => {
                     c.bump(&c.unexpected_errors);
                     eprintln!("degraded suite: unexpected error: {e}");
@@ -470,8 +437,9 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
     map_deny.set(SubjectId(1), dol_xml::NodeId(toggle as u32), false);
     let allow_twin = SecureXmlDb::from_document(doc.clone(), &map_allow).expect("allow twin");
     let deny_twin = SecureXmlDb::from_document(doc.clone(), &map_deny).expect("deny twin");
-    let oracle_allow = oracle_of(&allow_twin);
-    let oracle_deny = oracle_of(&deny_twin);
+    // In-memory twins: answers do not depend on the storage stack.
+    let oracle_allow = table1_oracle(&allow_twin, 0..SUBJECTS as u32);
+    let oracle_deny = table1_oracle(&deny_twin, 0..SUBJECTS as u32);
     drop(deny_twin);
 
     // The hostile stack: MemDisk → CrashDisk → FaultDisk(1% transient,
@@ -816,7 +784,7 @@ fn print_tables(
         ld(&c.bounded_refusals),
         ld(&c.deadline_aborts),
         ld(&c.cancel_aborts),
-        ld(&c.stale_refreshes),
+        ld(&c.retention_refreshes),
         ld(&c.epoch_checked),
         ld(&c.degraded_served),
         final_exact.to_string(),
@@ -974,7 +942,7 @@ fn write_json(
          \"exact\": {},\n  \"masked\": {},\n  \"wrong\": {},\n  \
          \"availability_errors\": {},\n  \"bounded_refusals\": {},\n  \
          \"deadline_aborts\": {},\n  \
-         \"cancel_aborts\": {},\n  \"stale_refreshes\": {},\n  \"epoch_checked\": {},\n  \
+         \"cancel_aborts\": {},\n  \"retention_refreshes\": {},\n  \"epoch_checked\": {},\n  \
          \"degraded_served\": {},\n  \"poison_windows\": {},\n  \
          \"recoveries\": {},\n  \"txns_redone\": {},\n  \"pages_redone\": {},\n  \
          \"refused_updates\": {},\n  \"failed_updates\": {},\n  \"commits\": {},\n  \
@@ -990,7 +958,7 @@ fn write_json(
         ld(&c.bounded_refusals),
         ld(&c.deadline_aborts),
         ld(&c.cancel_aborts),
-        ld(&c.stale_refreshes),
+        ld(&c.retention_refreshes),
         ld(&c.epoch_checked),
         ld(&c.degraded_served),
         ld(&c.poison_windows),

@@ -30,10 +30,9 @@ pub const METHOD_NAMES: [&str; 9] = [
 ];
 
 /// The codes refusal counters are keyed by.
-const CODES: [ErrorCode; 10] = [
+const CODES: [ErrorCode; 9] = [
     ErrorCode::Overloaded,
     ErrorCode::RetentionExceeded,
-    ErrorCode::StaleReader,
     ErrorCode::Poisoned,
     ErrorCode::ShardUnavailable,
     ErrorCode::DeadlineExceeded,

@@ -11,10 +11,9 @@
 //!
 //! The error codes are a closed set ([`ErrorCode`]) mapping the typed
 //! in-process failures one-to-one, so a wire client can distinguish
-//! back-off-and-retry conditions (`overloaded`, `retention_exceeded`,
-//! `stale_reader`) from heal-first conditions (`poisoned`,
-//! `shard_unavailable`) and hard refusals (`deadline_exceeded`,
-//! `invalid_request`, `draining`).
+//! back-off-and-retry conditions (`overloaded`, `retention_exceeded`) from
+//! heal-first conditions (`poisoned`, `shard_unavailable`) and hard
+//! refusals (`deadline_exceeded`, `invalid_request`, `draining`).
 
 use crate::json::Json;
 use secure_xml::query::QueryError;
@@ -147,9 +146,6 @@ pub enum ErrorCode {
     /// The serving snapshot outlived the MVCC retention window and the
     /// bounded refresh ladder did not land. Retry.
     RetentionExceeded,
-    /// Legacy-protocol stale snapshot that the refresh ladder did not
-    /// absorb. Retry.
-    StaleReader,
     /// The database handle is poisoned: updates are refused (reads degrade
     /// to the pre-transaction snapshot). Remedy: the `recover` method.
     Poisoned,
@@ -177,7 +173,6 @@ impl ErrorCode {
         match self {
             ErrorCode::Overloaded => "overloaded",
             ErrorCode::RetentionExceeded => "retention_exceeded",
-            ErrorCode::StaleReader => "stale_reader",
             ErrorCode::Poisoned => "poisoned",
             ErrorCode::ShardUnavailable => "shard_unavailable",
             ErrorCode::DeadlineExceeded => "deadline_exceeded",
@@ -193,7 +188,6 @@ impl ErrorCode {
         Some(match s {
             "overloaded" => ErrorCode::Overloaded,
             "retention_exceeded" => ErrorCode::RetentionExceeded,
-            "stale_reader" => ErrorCode::StaleReader,
             "poisoned" => ErrorCode::Poisoned,
             "shard_unavailable" => ErrorCode::ShardUnavailable,
             "deadline_exceeded" => ErrorCode::DeadlineExceeded,
@@ -214,7 +208,6 @@ pub fn wire_code(e: &DbError) -> ErrorCode {
     match e {
         DbError::Overloaded => ErrorCode::Overloaded,
         DbError::RetentionExceeded { .. } => ErrorCode::RetentionExceeded,
-        DbError::StaleReader { .. } => ErrorCode::StaleReader,
         DbError::Poisoned => ErrorCode::Poisoned,
         DbError::ShardUnavailable { .. } => ErrorCode::ShardUnavailable,
         DbError::DeadlineExceeded(_) => ErrorCode::DeadlineExceeded,
@@ -622,10 +615,6 @@ mod tests {
             }),
             ErrorCode::RetentionExceeded
         );
-        assert_eq!(
-            wire_code(&DbError::StaleReader { seen: 0, now: 1 }),
-            ErrorCode::StaleReader
-        );
         assert_eq!(wire_code(&DbError::Poisoned), ErrorCode::Poisoned);
         assert_eq!(
             wire_code(&DbError::ShardUnavailable {
@@ -649,7 +638,6 @@ mod tests {
         for code in [
             ErrorCode::Overloaded,
             ErrorCode::RetentionExceeded,
-            ErrorCode::StaleReader,
             ErrorCode::Poisoned,
             ErrorCode::ShardUnavailable,
             ErrorCode::DeadlineExceeded,

@@ -352,7 +352,7 @@ struct SavepointState {
 /// One sealed commit's worth of pre-images: the state of every page the
 /// commit dirtied, *as of* epoch `as_of` — the epoch that was current while
 /// the transaction ran (the facade bumps the epoch only after a successful
-/// ring-mode commit). A reader pinned to epoch `e ≤ as_of` whose page was
+/// commit). A reader pinned to epoch `e ≤ as_of` whose page was
 /// untouched between `e` and `as_of` finds its epoch-`e` bytes here.
 struct VersionDelta {
     as_of: u64,
@@ -361,21 +361,20 @@ struct VersionDelta {
 
 /// Bounded MVCC retention (the epoch ring): the last `retain` sealed commit
 /// deltas, oldest first, plus the open transaction's pre-images. A reader
-/// pinned to any epoch ≥ `floor` can reconstruct every page as of its epoch;
-/// older pins are refused upstairs as `RetentionExceeded`.
+/// pinned to any epoch ≥ the pool's floor can reconstruct every page as of
+/// its epoch; older pins are refused upstairs as `RetentionExceeded`.
 struct VersionRing {
     /// The database epoch counter, shared with the facade; read at seal
     /// time (pre-bump) to stamp each delta.
     epoch: Arc<AtomicU64>,
-    /// How many sealed deltas to retain (≥ 1).
+    /// How many sealed deltas to retain. `0` keeps none: the seal drops
+    /// the delta at once and raises the floor past the pre-commit epoch.
     retain: usize,
     /// Sealed deltas, oldest first; `as_of` is non-decreasing.
     committed: VecDeque<VersionDelta>,
     /// Pre-images captured by the open transaction: promoted to a sealed
     /// delta at the outermost commit, discarded on rollback.
     open: HashMap<PageId, Page>,
-    /// Oldest epoch still servable.
-    floor: u64,
 }
 
 struct Shard {
@@ -505,6 +504,12 @@ pub struct BufferPool {
     ring: Mutex<Option<VersionRing>>,
     /// Fast gate mirroring `ring.is_some()`.
     ring_active: AtomicBool,
+    /// Oldest epoch the ring still serves (0 without a ring). Written only
+    /// while holding the `ring` lock, so a pinned read that was handed a
+    /// live frame because its pin fell below the floor has already
+    /// synchronized with the write; read lock-free by
+    /// [`epoch_servable`](Self::epoch_servable).
+    floor: AtomicU64,
 }
 
 impl BufferPool {
@@ -560,6 +565,7 @@ impl BufferPool {
             breaker_probes: AtomicU64::new(0),
             ring: Mutex::new(None),
             ring_active: AtomicBool::new(false),
+            floor: AtomicU64::new(0),
         }
     }
 
@@ -573,40 +579,36 @@ impl BufferPool {
     /// refused by the caller (the pool reports servability, the facade
     /// types the error).
     ///
-    /// # Panics
-    /// If `retain` is zero.
+    /// With `retain == 0` only the open transaction's pre-images are kept:
+    /// readers pinned to the current epoch keep answering while a
+    /// transaction runs, and each commit's seal retires that epoch.
     pub fn enable_version_ring(&self, epoch: Arc<AtomicU64>, retain: usize) {
-        assert!(retain > 0, "version ring needs retain >= 1");
-        let floor = epoch.load(Ordering::SeqCst);
-        *self.ring.lock() = Some(VersionRing {
+        let mut ring = self.ring.lock();
+        self.floor
+            .store(epoch.load(Ordering::SeqCst), Ordering::SeqCst);
+        *ring = Some(VersionRing {
             epoch,
             retain,
             committed: VecDeque::new(),
             open: HashMap::new(),
-            floor,
         });
         self.ring_active.store(true, Ordering::Release);
-    }
-
-    /// Whether the MVCC version ring is enabled.
-    pub fn version_ring_enabled(&self) -> bool {
-        self.ring_active.load(Ordering::Acquire)
     }
 
     /// Oldest epoch the version ring can still serve (0 when the ring is
     /// disabled).
     pub fn ring_floor(&self) -> u64 {
-        self.ring.lock().as_ref().map(|r| r.floor).unwrap_or(0)
+        self.floor.load(Ordering::SeqCst)
     }
 
     /// Whether a reader pinned to `epoch` can still be served whole-epoch
-    /// answers. Always true with the ring disabled (the legacy
-    /// single-version mode has its own staleness protocol).
+    /// answers: `epoch ≥` [`ring_floor`](Self::ring_floor). This holds
+    /// even for the epoch the facade has not yet moved past: the commit
+    /// seal raises the floor *before* the facade bumps its epoch counter,
+    /// and from that moment a pin on the pre-commit epoch may be served
+    /// post-commit frames. Lock-free.
     pub fn epoch_servable(&self, epoch: u64) -> bool {
-        match self.ring.lock().as_ref() {
-            Some(r) => epoch >= r.floor,
-            None => true,
-        }
+        epoch >= self.floor.load(Ordering::SeqCst)
     }
 
     /// Number of sealed deltas currently retained (diagnostic hook).
@@ -626,7 +628,8 @@ impl BufferPool {
         if let Some(r) = self.ring.lock().as_mut() {
             r.committed.clear();
             r.open.clear();
-            r.floor = r.epoch.load(Ordering::SeqCst);
+            self.floor
+                .store(r.epoch.load(Ordering::SeqCst), Ordering::SeqCst);
         }
     }
 
@@ -641,7 +644,7 @@ impl BufferPool {
     fn ring_image(&self, id: PageId, pin: u64) -> Option<Page> {
         let ring = self.ring.lock();
         let r = ring.as_ref()?;
-        if pin < r.floor {
+        if pin < self.floor.load(Ordering::SeqCst) {
             return None;
         }
         for delta in &r.committed {
@@ -1404,7 +1407,9 @@ impl BufferPool {
         }
         // MVCC seal: promote the open pre-images to a sealed delta stamped
         // with the pre-commit epoch (the facade bumps it only after this
-        // returns), evicting the oldest delta past the retention bound.
+        // returns), evicting the oldest delta past the retention bound —
+        // with `retain == 0` the new delta itself, retiring the pre-commit
+        // epoch before the bump.
         // Sealing happens even if spilled-page write-back failed below: the
         // commit is durable, so readers pinned to the pre-commit epoch need
         // the delta to keep answering coherently.
@@ -1415,7 +1420,7 @@ impl BufferPool {
                 r.committed.push_back(VersionDelta { as_of, pages });
                 while r.committed.len() > r.retain {
                     if let Some(d) = r.committed.pop_front() {
-                        r.floor = d.as_of + 1;
+                        self.floor.store(d.as_of + 1, Ordering::SeqCst);
                     }
                 }
             }
@@ -2652,7 +2657,6 @@ mod tests {
         let (pool, ids) = pool(8);
         let epoch = Arc::new(AtomicU64::new(0));
         pool.enable_version_ring(Arc::clone(&epoch), 4);
-        assert!(pool.version_ring_enabled());
         // Epoch 0 state: ids[0] untouched (zero). Commit 1 writes 11,
         // commit 2 writes 22; ids[1] changes only in commit 2.
         commit_and_bump::<StorageError>(&pool, &epoch, || {
@@ -2700,6 +2704,32 @@ mod tests {
             with_read_epoch(2, || pool.with_page(ids[0], |p| p.get_u32(0)).unwrap()),
             2
         );
+    }
+
+    #[test]
+    fn retain_zero_retires_the_pre_commit_epoch_before_the_bump() {
+        let (pool, ids) = pool(8);
+        let epoch = Arc::new(AtomicU64::new(0));
+        pool.enable_version_ring(Arc::clone(&epoch), 0);
+        let read0 = || with_read_epoch(0, || pool.with_page(ids[0], |p| p.get_u32(0)).unwrap());
+        // While the transaction runs, a pin on epoch 0 reads the pre-image.
+        pool.atomic_update(|| -> Result<(), StorageError> {
+            pool.with_page_mut(ids[0], |p| p.put_u32(0, 5))?;
+            assert_eq!(read0(), 0);
+            assert!(pool.epoch_servable(0));
+            Ok(())
+        })
+        .unwrap();
+        // Sealed, not yet bumped: the pin now reads the post-commit frame,
+        // so epoch 0 must already be unservable although it is still the
+        // counter's value.
+        assert_eq!(epoch.load(Ordering::SeqCst), 0);
+        assert_eq!(read0(), 5);
+        assert!(!pool.epoch_servable(0), "epoch 0 served a post-commit page");
+        assert_eq!(pool.ring_floor(), 1);
+        assert_eq!(pool.ring_depth(), 0);
+        epoch.fetch_add(1, Ordering::SeqCst);
+        assert!(pool.epoch_servable(1));
     }
 
     #[test]

@@ -108,16 +108,6 @@ pub enum DbError {
     /// no longer be trusted against the pages, so every further update is
     /// refused until the database is reopened.
     Poisoned,
-    /// A [`DbReader`] snapshot was overtaken by an update: the reader was
-    /// stamped with epoch `seen`, but the database has advanced to `now`.
-    /// The query result (if any was computed) may mix pre- and post-update
-    /// pages and has been discarded; take a fresh reader and retry.
-    StaleReader {
-        /// The update epoch the reader was created at.
-        seen: u64,
-        /// The database's current update epoch.
-        now: u64,
-    },
     /// A [`DbReader`] pinned to epoch `seen` outlived the MVCC version
     /// ring's retention window: the oldest epoch still servable is `oldest`
     /// and the database has advanced to `now`. Any in-flight result was
@@ -168,11 +158,6 @@ impl std::fmt::Display for DbError {
             DbError::Poisoned => write!(
                 f,
                 "database handle poisoned by a failed or superseding update; reopen to continue"
-            ),
-            DbError::StaleReader { seen, now } => write!(
-                f,
-                "snapshot reader at epoch {seen} overtaken by update (database at epoch {now}); \
-                 take a fresh reader and retry"
             ),
             DbError::RetentionExceeded { seen, oldest, now } => write!(
                 f,
@@ -230,13 +215,12 @@ pub struct DbConfig {
     /// Node records per structure block (see [`StoreConfig`]).
     pub max_records_per_block: usize,
     /// MVCC retention: how many committed epochs the version ring keeps
-    /// alive behind the current one. With `N > 0`, a [`DbReader`] pinned to
-    /// any of the last `N + 1` epochs keeps answering whole-epoch results —
-    /// zero [`DbError::StaleReader`] inside the window — and a reader beyond
-    /// it gets [`DbError::RetentionExceeded`] with a refresh path. `0`
-    /// disables the ring entirely: the legacy epoch-fencing protocol
-    /// (updates overtake every live reader, which fails fast with
-    /// `StaleReader`).
+    /// alive behind the current one. A [`DbReader`] pinned to any of the
+    /// last `N + 1` epochs keeps answering whole-epoch results, and a
+    /// reader beyond them gets [`DbError::RetentionExceeded`] with a
+    /// refresh path. `0` retains no past epoch: a reader overtaken by one
+    /// commit is refused with `RetentionExceeded { seen: E, oldest: E + 1,
+    /// now: E + 1 }`.
     pub epoch_retain: usize,
 }
 
@@ -260,7 +244,7 @@ pub struct SecureXmlDb {
     // hand out cheap snapshot handles; updates go through `Arc::make_mut`,
     // which clones a mirror only while a reader still holds it (copy on
     // write). Page *contents* are shared through the pool regardless — the
-    // epoch protocol below is what keeps overtaken readers honest.
+    // pool's version ring is what keeps overtaken readers honest.
     doc: Arc<Document>,
     store: Arc<StructStore>,
     values: Arc<ValueStore>,
@@ -268,11 +252,10 @@ pub struct SecureXmlDb {
     tag_index: Arc<BPlusTree<TagId, Vec<u64>>>,
     value_index: Arc<BPlusTree<(TagId, u64), Vec<u64>>>,
     pool: Arc<BufferPool>,
-    /// Update epoch: bumped at the start of every update transaction
-    /// (successful or not). [`DbReader`]s stamp it at creation and verify
-    /// it before and after each query, failing with
-    /// [`DbError::StaleReader`] instead of returning a possibly mixed-epoch
-    /// answer. Also the result-cache invalidation stamp.
+    /// Update epoch: bumped after every committed update transaction and
+    /// by recovery. [`DbReader`]s stamp it at creation and pin their page
+    /// reads to it; the version ring stamps its deltas with it. Also part
+    /// of every result-cache key.
     epoch: Arc<AtomicU64>,
     /// Compiled-plan and secure-result caches, shared with every reader.
     caches: Arc<reader::QueryCaches>,
@@ -396,9 +379,7 @@ impl SecureXmlDb {
         let tag_index = build_tag_index(&store)?;
         let value_index = build_value_index(&store, &values)?;
         let epoch = Arc::new(AtomicU64::new(0));
-        if cfg.epoch_retain > 0 {
-            pool.enable_version_ring(Arc::clone(&epoch), cfg.epoch_retain);
-        }
+        pool.enable_version_ring(Arc::clone(&epoch), cfg.epoch_retain);
         Ok(Self {
             doc: Arc::new(doc),
             store: Arc::new(store),
@@ -458,27 +439,13 @@ impl SecureXmlDb {
         f: impl FnOnce(&mut Self) -> Result<R, DbError>,
     ) -> Result<R, DbError> {
         // Inside a batch the enclosing run_batch owns the transaction, the
-        // epoch protocol, and the mirror snapshots; the member's update
+        // epoch bump, and the mirror snapshots; the member's update
         // methods just run their bodies in the open transaction.
         if self.in_batch {
             return f(self);
         }
         if self.poisoned.load(Ordering::Acquire) {
             return Err(DbError::Poisoned);
-        }
-        let ring = self.pool.version_ring_enabled();
-        if !ring {
-            // Legacy single-version protocol: bump the epoch *before* any
-            // page changes. A reader that observes even one post-update byte
-            // was created before this store (readers are handed out through
-            // `&self`, updates come through `&mut self`), so its
-            // end-of-query epoch check must fail. SeqCst pairs with the
-            // readers' SeqCst loads; the pool's own locks order the page
-            // writes behind it. Bumping also invalidates the whole result
-            // cache (its keys carry the epoch); dropping the dead entries
-            // keeps the LRU from nursing unreachable results.
-            self.epoch.fetch_add(1, Ordering::SeqCst);
-            self.caches.invalidate_results();
         }
         // Capture the pre-transaction mirrors. Holding these Arcs forces the
         // transaction body's `Arc::make_mut`s to copy-on-write, so on failure
@@ -494,20 +461,10 @@ impl SecureXmlDb {
             Ok(r)
         });
         match &res {
-            Ok(_) if ring => {
-                // MVCC protocol: the commit sealed a delta preserving this
-                // epoch's pages, so pinned readers stay servable — bump only
-                // *after* success, and evict result-cache entries keyed on
-                // epochs the ring no longer retains (entries inside the
-                // window stay valid: their epoch's pages are reconstructible
-                // forever within the window).
-                self.epoch.fetch_add(1, Ordering::SeqCst);
-                self.caches.evict_dead_epochs(self.pool.ring_floor());
-            }
-            Ok(_) => {}
+            Ok(_) => self.advance_epoch(),
             Err(_) => {
-                // No epoch bump in ring mode: the rollback restored the
-                // pages, so the current epoch still describes them.
+                // No epoch bump: the rollback restored the pages, so the
+                // current epoch still describes them.
                 *self
                     .rollback_mirrors
                     .lock()
@@ -544,6 +501,17 @@ impl SecureXmlDb {
         self.run_txn(f)
     }
 
+    /// Publishes a commit: bumps the epoch and evicts the result-cache
+    /// entries keyed on epochs the ring no longer retains (entries inside
+    /// the window stay valid: their epoch's pages are reconstructible for
+    /// as long as the window holds them). The commit's seal has already
+    /// raised the ring floor, so readers pinned below it are refused even
+    /// before this bump lands.
+    fn advance_epoch(&self) {
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+        self.caches.evict_dead_epochs(self.pool.ring_floor());
+    }
+
     /// Restores a captured mirror snapshot over the live mirrors.
     fn restore_mirrors(&mut self, snap: MirrorSnapshot) {
         self.doc = snap.doc;
@@ -571,8 +539,7 @@ impl SecureXmlDb {
     /// handle exactly like a failed solo update.
     ///
     /// The epoch advances once per batch: all members land in the same new
-    /// epoch, and (with the version ring enabled) readers pinned to older
-    /// retained epochs keep answering.
+    /// epoch, and readers pinned to older retained epochs keep answering.
     pub fn run_batch(&mut self, members: &[UpdateFn]) -> Result<Vec<Result<(), DbError>>, DbError> {
         if self.in_batch || self.pool.in_transaction() {
             return Err(DbError::Storage(StorageError::Io(std::io::Error::other(
@@ -584,12 +551,6 @@ impl SecureXmlDb {
         }
         if members.is_empty() {
             return Ok(Vec::new());
-        }
-        let ring = self.pool.version_ring_enabled();
-        if !ring {
-            // Legacy protocol: fence readers before the first page changes.
-            self.epoch.fetch_add(1, Ordering::SeqCst);
-            self.caches.invalidate_results();
         }
         let batch_before = MirrorSnapshot::capture(self);
         let pool = self.pool.clone();
@@ -635,12 +596,6 @@ impl SecureXmlDb {
             // exactly as before the call, so the caller may replay solo.
             pool.txn_rollback();
             self.restore_mirrors(batch_before);
-            if ring {
-                return Err(e);
-            }
-            // Legacy mode bumped the epoch up front; the pages rolled back,
-            // so invalidate again and leave the bump (readers re-snapshot).
-            self.caches.invalidate_results();
             return Err(e);
         }
         let commit = (|| -> Result<(), DbError> {
@@ -651,10 +606,7 @@ impl SecureXmlDb {
         })();
         match commit {
             Ok(()) => {
-                if ring {
-                    self.epoch.fetch_add(1, Ordering::SeqCst);
-                    self.caches.evict_dead_epochs(self.pool.ring_floor());
-                }
+                self.advance_epoch();
                 Ok(results)
             }
             Err(e) => {
@@ -700,7 +652,6 @@ impl SecureXmlDb {
         if self.poisoned.load(Ordering::Acquire) {
             return Err(DbError::Poisoned);
         }
-        let ring = self.pool.version_ring_enabled();
         let before = MirrorSnapshot::capture(self);
         let pool = self.pool.clone();
         pool.txn_begin();
@@ -723,18 +674,12 @@ impl SecureXmlDb {
                     // txn_prepare rolled the pages back on failure; restore
                     // the matching mirrors. Clean abort: no poison.
                     self.restore_mirrors(before);
-                    if !ring {
-                        self.caches.invalidate_results();
-                    }
                     Err(e.into())
                 }
             },
             Err(e) => {
                 pool.txn_rollback();
                 self.restore_mirrors(before);
-                if !ring {
-                    self.caches.invalidate_results();
-                }
                 Err(e)
             }
         }
@@ -764,26 +709,14 @@ impl SecureXmlDb {
                 "finish_prepared gtid mismatch",
             ))));
         }
-        let ring = self.pool.version_ring_enabled();
         if !commit {
             self.pool.txn_finish_prepared(false)?;
             self.restore_mirrors(before);
-            if !ring {
-                // Legacy mode has no pre-bump to undo here (run_prepared
-                // never bumps); invalidate defensively all the same.
-                self.caches.invalidate_results();
-            }
             return Ok(());
         }
         match self.pool.txn_finish_prepared(true) {
             Ok(()) => {
-                if ring {
-                    self.epoch.fetch_add(1, Ordering::SeqCst);
-                    self.caches.evict_dead_epochs(self.pool.ring_floor());
-                } else {
-                    self.epoch.fetch_add(1, Ordering::SeqCst);
-                    self.caches.invalidate_results();
-                }
+                self.advance_epoch();
                 Ok(())
             }
             Err(e) => {
@@ -806,8 +739,8 @@ impl SecureXmlDb {
         self.prepared.as_ref().map(|(g, _)| *g)
     }
 
-    /// The oldest epoch the MVCC version ring still retains (0 when the
-    /// ring is disabled). A [`DbReader`] pinned below this floor gets
+    /// The oldest epoch the MVCC version ring still retains. A
+    /// [`DbReader`] pinned below this floor gets
     /// [`DbError::RetentionExceeded`].
     pub fn retention_floor(&self) -> u64 {
         self.pool.ring_floor()
@@ -836,9 +769,10 @@ impl SecureXmlDb {
     /// Either way the rebuilt state must pass
     /// [`verify_integrity`](Self::verify_integrity) before the poison latch
     /// is cleared; on failure the handle stays poisoned and the error is
-    /// returned. Success bumps the update epoch (outstanding readers fail
-    /// [`DbError::StaleReader`] and re-snapshot), drops all cached results,
-    /// and resets the I/O circuit breaker.
+    /// returned. Success bumps the update epoch and raises the version
+    /// ring's floor to it (outstanding readers fail
+    /// [`DbError::RetentionExceeded`] and re-snapshot), drops all cached
+    /// results, and resets the I/O circuit breaker.
     ///
     /// A handle *detached* by a same-path [`save_to`](Self::save_to)
     /// compaction cannot recover — the on-disk image no longer matches this
@@ -927,9 +861,9 @@ impl SecureXmlDb {
         // Recovery rewrote page provenance: collapse the version ring so
         // readers pinned to pre-recovery epochs are refused
         // (RetentionExceeded) instead of served reconstructed bytes, and
-        // drop every cached result (their epochs are all dead now).
+        // drop every cached result (their epochs are all below the floor).
         self.pool.ring_barrier();
-        self.caches.invalidate_results();
+        self.caches.evict_dead_epochs(self.pool.ring_floor());
         self.pool.reset_breaker();
         Ok(report)
     }
@@ -1059,9 +993,10 @@ impl SecureXmlDb {
     /// A cheap snapshot handle for concurrent read-only serving: shares the
     /// store, indexes, and DOL by `Arc`, is stamped with the current update
     /// epoch, and serves queries through the plan and secure-result caches
-    /// (a warm result hit does zero page I/O). Readers overtaken by an
-    /// update fail fast with [`DbError::StaleReader`] rather than return a
-    /// mixed-epoch answer; take a fresh reader and retry.
+    /// (a warm result hit does zero page I/O). A reader keeps answering as
+    /// of its epoch while [`DbConfig::epoch_retain`] later commits land;
+    /// past that it fails with [`DbError::RetentionExceeded`] rather than
+    /// return a mixed-epoch answer — take a fresh reader and retry.
     ///
     /// **Degraded mode:** a poisoned handle keeps serving readers. If the
     /// poison came from a failed (rolled-back) update, the reader snapshots

@@ -165,7 +165,9 @@ fn encode_meta(codebook: &Codebook, tag_blob: &[u8], values: &ValueStore) -> Vec
     out
 }
 
-fn decode_meta(bytes: &[u8]) -> Result<MetaParts, DbError> {
+/// Decodes the meta blob of an image whose block chain holds `total_nodes`
+/// nodes: every value-index position must name one of them.
+fn decode_meta(bytes: &[u8], total_nodes: u64) -> Result<MetaParts, DbError> {
     struct Reader<'a>(&'a [u8]);
     impl<'a> Reader<'a> {
         fn take(&mut self, n: usize) -> Result<&'a [u8], DbError> {
@@ -211,6 +213,11 @@ fn decode_meta(bytes: &[u8]) -> Result<MetaParts, DbError> {
     let mut value_index = Vec::with_capacity(n_index);
     for _ in 0..n_index {
         let pos = r.u64()?;
+        if pos >= total_nodes {
+            return Err(invalid_data(format!(
+                "value index names node {pos} of {total_nodes}"
+            )));
+        }
         let off = r.u64()?;
         let len = r.u32()?;
         value_index.push((pos, off, len));
@@ -274,7 +281,10 @@ pub(crate) fn load_image(pool: &Arc<BufferPool>) -> Result<LoadedImage, DbError>
             cat.total_nodes
         )));
     }
-    let meta = decode_meta(&read_blob(pool, cat.meta_head, cat.meta_bytes)?)?;
+    let meta = decode_meta(
+        &read_blob(pool, cat.meta_head, cat.meta_bytes)?,
+        cat.total_nodes,
+    )?;
     let values = ValueStore::from_snapshot(
         pool.clone(),
         meta.value_pages,
@@ -289,8 +299,7 @@ pub(crate) fn load_image(pool: &Arc<BufferPool>) -> Result<LoadedImage, DbError>
     // Reconstruct the in-memory master document (tags + values).
     let mut doc = store.to_document(&tags)?;
     for (pos, _) in values.iter_lens() {
-        let v = values.get(pos)?.expect("indexed value exists");
-        doc.set_value(NodeId(pos as u32), Some(&v));
+        doc.set_value(NodeId(pos as u32), values.get(pos)?.as_deref());
     }
     let tag_index = build_tag_index(&store)?;
     let value_index = build_value_index(&store, &values)?;
@@ -506,9 +515,7 @@ impl SecureXmlDb {
         let img = load_image(&pool)?;
         pool.attach_wal(wal);
         let epoch = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        if cfg.epoch_retain > 0 {
-            pool.enable_version_ring(Arc::clone(&epoch), cfg.epoch_retain);
-        }
+        pool.enable_version_ring(Arc::clone(&epoch), cfg.epoch_retain);
         Ok(SecureXmlDb {
             doc: Arc::new(img.doc),
             store: Arc::new(img.store),
@@ -655,11 +662,13 @@ mod tests {
     #[test]
     fn crafted_meta_counts_are_refused_without_allocating() {
         let (path, pool) = saved_image("crafted-meta.dolx");
-        let (head, total) = pool
-            .with_page(PageId(0), |p| (PageId(p.get_u32(16)), p.get_u64(20)))
+        let (head, total, nodes) = pool
+            .with_page(PageId(0), |p| {
+                (PageId(p.get_u32(16)), p.get_u64(20), p.get_u64(28))
+            })
             .unwrap();
         let blob = read_blob(&pool, head, total).unwrap();
-        assert!(decode_meta(&blob).is_ok());
+        assert!(decode_meta(&blob, nodes).is_ok());
         // Walk the layout to the two counts: codebook, tag table, tail.
         let u64_at = |at: usize| u64::from_le_bytes(blob[at..at + 8].try_into().unwrap());
         let mut at = 8 + u64_at(0) as usize;
@@ -674,10 +683,39 @@ mod tests {
 
         let mut crafted = blob.clone();
         crafted[n_pages_at..n_pages_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(is_invalid_data(&decode_meta(&crafted).err().unwrap()));
+        assert!(is_invalid_data(
+            &decode_meta(&crafted, nodes).err().unwrap()
+        ));
         let mut crafted = blob;
         crafted[n_index_at..n_index_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(is_invalid_data(&decode_meta(&crafted).err().unwrap()));
+        assert!(is_invalid_data(
+            &decode_meta(&crafted, nodes).err().unwrap()
+        ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn crafted_value_index_position_is_refused() {
+        let (path, pool) = saved_image("crafted-value-pos.dolx");
+        let (head, total, nodes) = pool
+            .with_page(PageId(0), |p| {
+                (PageId(p.get_u32(16)), p.get_u64(20), p.get_u64(28))
+            })
+            .unwrap();
+        let mut blob = read_blob(&pool, head, total).unwrap();
+        // The index entries are the blob's tail, 20 bytes each, position
+        // first: point the last one one past the last node.
+        let last = blob.len() - 20;
+        blob[last..last + 8].copy_from_slice(&nodes.to_le_bytes());
+        // Written through the pool as a fresh chain, so every checksum
+        // stays valid and only the position is hostile.
+        let crafted = write_blob(&pool, &blob).unwrap();
+        pool.with_page_mut(PageId(0), |p| p.put_u32(16, crafted.0))
+            .unwrap();
+        pool.flush_all().unwrap();
+        drop(pool);
+        let err = SecureXmlDb::open_from(&path).err().expect("must refuse");
+        assert!(is_invalid_data(&err), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

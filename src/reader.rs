@@ -8,29 +8,22 @@
 //! number of them can run on separate threads while the owner keeps the
 //! `&mut self` update API to itself.
 //!
-//! Two snapshot protocols exist, selected by
-//! [`crate::DbConfig::epoch_retain`]:
+//! Every query pins its page reads to the reader's stamped epoch
+//! ([`dol_storage::with_read_epoch`]), and the buffer pool's version ring
+//! keeps the pre-images of the last [`crate::DbConfig::epoch_retain`]
+//! committed epochs. A reader anywhere inside that retention window keeps
+//! answering whole-epoch results — a concurrent commit never turns it
+//! stale. A reader that outlives the window fails with the typed
+//! [`DbError::RetentionExceeded`] carrying the refresh path; it is never
+//! served a wrong or torn answer. With `epoch_retain: 0` the window is the
+//! current epoch alone, and the next commit retires it.
 //!
-//! * **MVCC (the default, `epoch_retain > 0`).** The buffer pool's version
-//!   ring keeps the pre-images of the last N committed epochs. Every query
-//!   pins its page reads to the reader's stamped epoch
-//!   ([`dol_storage::with_read_epoch`]), so a reader anywhere inside the
-//!   retention window keeps answering whole-epoch results *forever* — a
-//!   concurrent commit never turns it stale. Only a reader that outlives
-//!   the window fails, with the typed [`DbError::RetentionExceeded`]
-//!   carrying the refresh path; it is never served a wrong or torn answer.
-//! * **Legacy epoch fencing (`epoch_retain: 0`).** Every update transaction
-//!   bumps the epoch *before* touching any page; a reader verifies the
-//!   epoch both before and after executing a query and fails with
-//!   [`DbError::StaleReader`] instead of returning an answer that might mix
-//!   pre- and post-update pages.
-//!
-//! In both modes the window is torn-*set*, never torn-*page*: individual
-//! pages only change under the buffer pool's exclusive latch, so a racing
-//! reader sees each page whole — the end-of-query servability check exists
-//! because a query spans many pages and two epochs' worth of them do not
-//! form a snapshot (under MVCC it only fires when the ring's floor advanced
-//! past the pin mid-query).
+//! The window is torn-*set*, never torn-*page*: individual pages only
+//! change under the buffer pool's exclusive latch, so a racing reader sees
+//! each page whole. The end-of-query servability check exists because a
+//! query spans many pages and two epochs' worth of them do not form a
+//! snapshot: it fires when the ring's floor advanced past the pin
+//! mid-query.
 //!
 //! Two caches ride along, shared by the database handle and every reader:
 //!
@@ -42,13 +35,12 @@
 //!   codebook version) → result`. A warm hit returns the cached matches
 //!   with **zero page I/O** — the key's epoch and codebook-version stamps
 //!   prove the cached answer is still the answer, so not even a §3.3
-//!   header probe is needed. Under MVCC an old-epoch entry stays *valid*
-//!   as long as the ring can serve its epoch — commits evict exactly the
+//!   header probe is needed. An old-epoch entry stays *valid* as long as
+//!   the ring can serve its epoch — commits and recovery evict exactly the
 //!   keys whose epoch fell below the retention floor
-//!   (`QueryCaches::evict_dead_epochs`); in legacy mode every bump
-//!   invalidates wholesale. Codebook-only changes such as
+//!   (`QueryCaches::evict_dead_epochs`). Codebook-only changes such as
 //!   [`SecureXmlDb::add_subject`] are additionally fenced by the codebook
-//!   version stamp carried from PR 1.
+//!   version stamp.
 //!
 //! [`SecureXmlDb::query`] deliberately bypasses the result cache (the
 //! fail-closed fault tests re-run identical queries expecting *different*
@@ -111,20 +103,11 @@ impl QueryCaches {
         &self.plans
     }
 
-    /// Drops every cached result. Called on each legacy-mode epoch bump
-    /// (the keys carry the epoch so the entries are already unreachable —
-    /// clearing just stops the LRU from nursing dead weight) and on
-    /// [`SecureXmlDb::recover`], where the ring barrier kills every old
-    /// epoch at once.
-    pub(crate) fn invalidate_results(&self) {
-        self.results.clear();
-    }
-
-    /// MVCC cache hygiene: drops exactly the results keyed on epochs the
+    /// Cache hygiene: drops exactly the results keyed on epochs the
     /// version ring can no longer serve (`epoch < floor`). Entries at or
-    /// above the floor stay — under MVCC an old-epoch answer remains *the*
-    /// answer for readers pinned to that epoch. Called on every commit that
-    /// advances the ring, so no dead-epoch entry outlives the commit that
+    /// above the floor stay — an old-epoch answer remains *the* answer for
+    /// readers pinned to that epoch. Called on every commit and after the
+    /// recovery barrier, so no dead-epoch entry outlives the event that
     /// killed its epoch.
     pub(crate) fn evict_dead_epochs(&self, floor: u64) {
         self.results.retain(|k| k.2 >= floor);
@@ -170,11 +153,10 @@ pub struct CacheStats {
 ///
 /// Cloning the handle is cheap (seven `Arc` bumps) and stamps nothing new:
 /// clones share the original's epoch stamp. Readers are `Send`, so the
-/// usual serving shape is one reader per client thread. Under MVCC (the
-/// default) a reader keeps answering across concurrent updates for as long
-/// as the version ring retains its epoch, and is re-created only on
-/// [`DbError::RetentionExceeded`]; in legacy mode (`epoch_retain: 0`) it is
-/// re-created whenever a query fails with [`DbError::StaleReader`].
+/// usual serving shape is one reader per client thread. A reader keeps
+/// answering across concurrent updates for as long as the version ring
+/// retains its epoch, and is re-created only on
+/// [`DbError::RetentionExceeded`].
 pub struct DbReader {
     doc: Arc<Document>,
     store: Arc<StructStore>,
@@ -229,8 +211,7 @@ impl DbReader {
     /// the handle is poisoned, so the snapshot stays fresh until
     /// [`SecureXmlDb::recover`] bumps the epoch — and raises the version
     /// ring's barrier — at which point it fails
-    /// [`DbError::RetentionExceeded`] (MVCC) or [`DbError::StaleReader`]
-    /// (legacy) like any outlived reader.
+    /// [`DbError::RetentionExceeded`] like any outlived reader.
     pub(crate) fn degraded(db: &SecureXmlDb, snap: &MirrorSnapshot) -> Self {
         Self {
             doc: Arc::clone(&snap.doc),
@@ -251,41 +232,30 @@ impl DbReader {
         self.seen
     }
 
-    /// Whether an update has overtaken this snapshot. In legacy mode
-    /// (`epoch_retain: 0`) a stale reader fails every further query with
-    /// [`DbError::StaleReader`]; under MVCC it keeps answering as of its
-    /// pinned epoch for as long as the version ring retains it — staleness
-    /// only means "a newer epoch exists", not "unservable".
+    /// Whether an update has overtaken this snapshot. A stale reader keeps
+    /// answering as of its pinned epoch for as long as the version ring
+    /// retains it — staleness only means "a newer epoch exists", not
+    /// "unservable".
     pub fn is_stale(&self) -> bool {
         self.epoch.load(Ordering::SeqCst) != self.seen
     }
 
-    /// The gate every read path runs before and after touching pages. At the
-    /// current epoch the snapshot is trivially servable. Behind it, the
-    /// version ring decides: an epoch at or above the retention floor is
-    /// served whole from the ring's pre-images ([`with_read_epoch`] pins the
-    /// pool reads); one below it gets the typed [`DbError::RetentionExceeded`]
-    /// with the refresh path. With the ring disabled this is the legacy
-    /// fail-fast [`DbError::StaleReader`] protocol.
+    /// The gate every read path runs before and after touching pages: an
+    /// epoch at or above the version ring's floor is served whole
+    /// ([`with_read_epoch`] pins the pool reads); one below it gets the
+    /// typed [`DbError::RetentionExceeded`] with the refresh path. The floor
+    /// decides even when no newer epoch is published yet: a commit's seal
+    /// raises it before the epoch bump, and from then on reads pinned below
+    /// it may be served post-commit pages. Lock-free.
     fn check_servable(&self) -> Result<(), DbError> {
-        let now = self.epoch.load(Ordering::SeqCst);
-        if now == self.seen {
+        let pool = self.store.pool();
+        if pool.epoch_servable(self.seen) {
             return Ok(());
         }
-        let pool = self.store.pool();
-        if pool.version_ring_enabled() {
-            if pool.epoch_servable(self.seen) {
-                return Ok(());
-            }
-            return Err(DbError::RetentionExceeded {
-                seen: self.seen,
-                oldest: pool.ring_floor(),
-                now,
-            });
-        }
-        Err(DbError::StaleReader {
+        Err(DbError::RetentionExceeded {
             seen: self.seen,
-            now,
+            oldest: pool.ring_floor(),
+            now: self.epoch.load(Ordering::SeqCst),
         })
     }
 
@@ -296,12 +266,10 @@ impl DbReader {
     /// statistics report an all-zero [`IoStats`] and zero elapsed time for
     /// the call). On a miss the query executes normally and the result is
     /// cached — but only after a second servability check proves the whole
-    /// execution was answerable as of this snapshot's epoch. Under MVCC the
-    /// execution is pinned to that epoch (concurrent commits never tear or
-    /// stale it); a result whose epoch fell out of the retention window
-    /// mid-flight is discarded and reported as
-    /// [`DbError::RetentionExceeded`]. In legacy mode results overtaken
-    /// mid-flight are discarded and reported as [`DbError::StaleReader`].
+    /// execution was answerable as of this snapshot's epoch. The execution
+    /// is pinned to that epoch (concurrent commits never tear or stale it);
+    /// a result whose epoch fell out of the retention window mid-flight is
+    /// discarded and reported as [`DbError::RetentionExceeded`].
     pub fn query(&self, query: &str, security: Security) -> Result<QueryResult, DbError> {
         self.query_opts(query, security, ExecOptions::default())
     }
@@ -347,9 +315,8 @@ impl DbReader {
             &self.tag_index,
         );
         engine.set_value_index(&self.value_index);
-        // Pin every page read to this snapshot's epoch: with the version
-        // ring enabled, the pool serves each page as of `seen` even while
-        // commits land concurrently (a no-op in legacy mode).
+        // Pin every page read to this snapshot's epoch: the pool serves
+        // each page as of `seen` even while commits land concurrently.
         let exec = with_read_epoch(self.seen, || {
             engine.execute_compiled_opts(&plan, &compiled, security, opts)
         });
@@ -362,11 +329,10 @@ impl DbReader {
             Err(e) => return Err(e.into()),
         };
         // Cache (and return) only results that were servable end-to-end:
-        // in legacy mode that means computed entirely inside one epoch;
-        // under MVCC it means the retention floor never advanced past the
-        // pin mid-query (a pinned read past the floor may have been served
-        // a live frame, so the result is discarded unseen). This is the
-        // only place the query string is cloned.
+        // the retention floor never advanced past the pin mid-query (a
+        // pinned read past the floor may have been served a live frame, so
+        // the result is discarded unseen). This is the only place the
+        // query string is cloned.
         self.check_servable()?;
         self.caches.results.insert(
             key,
@@ -379,10 +345,9 @@ impl DbReader {
     }
 
     /// [`query`](Self::query) with bounded automatic re-snapshotting: when
-    /// the query fails [`DbError::StaleReader`] (legacy mode: an update
-    /// overtook this snapshot mid-flight) or [`DbError::RetentionExceeded`]
-    /// (MVCC: the snapshot outlived the version ring's retention window),
-    /// `refresh` is called for a fresh reader — typically `|| db.reader()`
+    /// the query fails [`DbError::RetentionExceeded`] (the snapshot
+    /// outlived the version ring's retention window), `refresh` is called
+    /// for a fresh reader — typically `|| db.reader()`
     /// through whatever latch guards the handle — which replaces `self`,
     /// and the query is retried, at most `max_retries` times.
     /// [`DbError::Overloaded`] (admission control shed the request) is
@@ -392,8 +357,8 @@ impl DbReader {
     /// retries would defeat it. Every other outcome (including the final
     /// staleness or overload failure) is returned as-is.
     ///
-    /// With the version ring enabled the staleness arm is a *fallback*, not
-    /// the common path: inside the retention window plain
+    /// The staleness arm is a *fallback*, not the common path: inside the
+    /// retention window plain
     /// [`query`](Self::query) never fails for snapshot-age reasons, so the
     /// refresh closure only runs for readers held across more committed
     /// epochs than the ring retains.
@@ -543,9 +508,7 @@ pub fn jittered_backoff(policy: &crate::RetryPolicy, seed: u64, attempt: u32) ->
 /// Classifies a query outcome for the retry loop: `None` is terminal.
 fn retry_action(outcome: &Result<QueryResult, DbError>) -> Option<RetryAction> {
     match outcome {
-        Err(DbError::StaleReader { .. } | DbError::RetentionExceeded { .. }) => {
-            Some(RetryAction::Refresh)
-        }
+        Err(DbError::RetentionExceeded { .. }) => Some(RetryAction::Refresh),
         Err(DbError::Overloaded) => Some(RetryAction::Backoff),
         _ => None,
     }
@@ -574,10 +537,6 @@ mod tests {
     fn retry_loop_classifies_overload_as_backoff() {
         // Snapshot-age failures re-snapshot; shed load backs off in place;
         // everything else (including success) is terminal.
-        assert_eq!(
-            retry_action(&Err(DbError::StaleReader { seen: 0, now: 1 })),
-            Some(RetryAction::Refresh)
-        );
         assert_eq!(
             retry_action(&Err(DbError::RetentionExceeded {
                 seen: 0,
@@ -732,7 +691,7 @@ mod tests {
     }
 
     #[test]
-    fn legacy_mode_overtaken_reader_fails_fast_with_stale_reader() {
+    fn retain_zero_overtaken_reader_gets_retention_exceeded() {
         let xml = "<a><b><c>v1</c></b><d><e>v2</e><f/></d></a>";
         let doc = dol_xml::parse(xml).unwrap();
         let mut map = AccessibilityMap::new(2, doc.len());
@@ -749,11 +708,30 @@ mod tests {
         let mut db = SecureXmlDb::with_config(doc, &map, cfg).unwrap();
         let r = db.reader();
         assert_eq!(r.epoch(), 0);
+        // A commit's seal-to-bump window, held open: the pool seals (an
+        // empty transaction is enough) but the epoch stays 0. The floor
+        // alone decides, so the pin on 0 is refused already.
+        db.pool
+            .atomic_update(|| Ok::<(), dol_storage::StorageError>(()))
+            .unwrap();
+        assert!(!r.is_stale(), "no newer epoch is published yet");
+        assert!(matches!(
+            r.query("//b/c", Security::BindingLevel(SubjectId(1))),
+            Err(DbError::RetentionExceeded {
+                seen: 0,
+                oldest: 1,
+                now: 0,
+            })
+        ));
         db.set_subtree_access(1, SubjectId(1), true).unwrap();
         assert!(r.is_stale());
         match r.query("//b/c", Security::BindingLevel(SubjectId(1))) {
-            Err(DbError::StaleReader { seen: 0, now: 1 }) => {}
-            other => panic!("expected StaleReader, got {other:?}"),
+            Err(DbError::RetentionExceeded {
+                seen: 0,
+                oldest: 1,
+                now: 1,
+            }) => {}
+            other => panic!("expected RetentionExceeded, got {other:?}"),
         }
         let r2 = db.reader();
         assert_eq!(

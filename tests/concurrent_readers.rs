@@ -2,12 +2,12 @@
 //!
 //! The contract under test (see DESIGN.md §11 and §14): a [`DbReader`] query
 //! either returns the answer of *one* update epoch — byte-identical to a
-//! sequential oracle taken at that epoch — or fails typed. Under MVCC (the
-//! default) a reader inside the retention window keeps serving its pinned
-//! epoch's answer across concurrent updates; only a reader that outlives the
-//! window fails, with `RetentionExceeded`. In legacy mode (`epoch_retain: 0`)
-//! any overtaken reader fails with [`DbError::StaleReader`]. Nothing in
-//! between ever escapes: no mixed-epoch answer, no torn page, no panic.
+//! sequential oracle taken at that epoch — or fails typed. A reader inside
+//! the retention window keeps serving its pinned epoch's answer across
+//! concurrent updates; only a reader that outlives the window fails, with
+//! [`DbError::RetentionExceeded`] (with `epoch_retain: 0`, any overtaken
+//! reader). Nothing in between ever escapes: no mixed-epoch answer, no torn
+//! page, no panic.
 //!
 //! Two attacks:
 //!
@@ -22,7 +22,7 @@
 
 use secure_xml::acl::SubjectId;
 use secure_xml::workloads::{synth_multi, xmark, SynthAclConfig, XmarkConfig};
-use secure_xml::{DbError, SecureXmlDb, Security};
+use secure_xml::{DbConfig, DbError, SecureXmlDb, Security};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::RwLock;
@@ -45,7 +45,7 @@ fn modes() -> Vec<Security> {
     ]
 }
 
-fn xmark_db(scale: f64, subjects: usize, seed: u64) -> SecureXmlDb {
+fn xmark_db(scale: f64, subjects: usize, seed: u64, epoch_retain: usize) -> SecureXmlDb {
     let doc = xmark(&XmarkConfig {
         scale,
         seed: 20050405,
@@ -60,7 +60,11 @@ fn xmark_db(scale: f64, subjects: usize, seed: u64) -> SecureXmlDb {
         },
         subjects,
     );
-    SecureXmlDb::from_document(doc, &map).unwrap()
+    let cfg = DbConfig {
+        epoch_retain,
+        ..DbConfig::default()
+    };
+    SecureXmlDb::with_config(doc, &map, cfg).unwrap()
 }
 
 /// Sequential answers of the whole suite at the database's current state.
@@ -76,19 +80,28 @@ fn suite_oracle(db: &SecureXmlDb) -> HashMap<(usize, usize), Vec<u64>> {
 
 #[test]
 fn concurrent_readers_return_whole_epoch_answers() {
-    let db = xmark_db(0.03, 2, 42);
+    // Retain 0 refuses every epoch-0 reader the updates overtake, including
+    // one caught between a commit's seal and its epoch bump; the default
+    // window keeps them all answering.
+    for retain in [0, DbConfig::default().epoch_retain] {
+        whole_epoch_answers_at(retain);
+    }
+}
+
+fn whole_epoch_answers_at(retain: usize) {
+    let db = xmark_db(0.03, 2, 42, retain);
     let oracle_before = suite_oracle(&db);
     let db = RwLock::new(db);
     let done = AtomicBool::new(false);
     // (epoch, query idx, mode idx, matches) per successful reader query.
     type Record = (u64, usize, usize, Vec<u64>);
 
-    let (records, stale, oracle_after) = std::thread::scope(|scope| {
+    let (records, refused, oracle_after) = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..3)
             .map(|_| {
                 scope.spawn(|| {
                     let mut recs: Vec<Record> = Vec::new();
-                    let mut stale = 0u64;
+                    let mut refused = 0u64;
                     while !done.load(Ordering::Relaxed) {
                         let reader = db.read().unwrap().reader();
                         let epoch = reader.epoch();
@@ -96,17 +109,17 @@ fn concurrent_readers_return_whole_epoch_answers() {
                             for (mi, sec) in modes().iter().enumerate() {
                                 match reader.query(q, *sec) {
                                     Ok(r) => recs.push((epoch, qi, mi, r.matches)),
-                                    Err(DbError::StaleReader { seen, now }) => {
+                                    Err(DbError::RetentionExceeded { seen, oldest, .. }) => {
                                         assert_eq!(seen, epoch);
-                                        assert!(now > seen, "epochs only advance");
-                                        stale += 1;
+                                        assert!(oldest > seen, "refused a servable epoch");
+                                        refused += 1;
                                     }
                                     Err(e) => panic!("reader query failed: {e}"),
                                 }
                             }
                         }
                     }
-                    (recs, stale)
+                    (recs, refused)
                 })
             })
             .collect();
@@ -124,13 +137,13 @@ fn concurrent_readers_return_whole_epoch_answers() {
         done.store(true, Ordering::Relaxed);
 
         let mut records = Vec::new();
-        let mut stale = 0u64;
+        let mut refused = 0u64;
         for h in handles {
-            let (r, s) = h.join().expect("reader thread");
+            let (r, n) = h.join().expect("reader thread");
             records.extend(r);
-            stale += s;
+            refused += n;
         }
-        (records, stale, oracle_after)
+        (records, refused, oracle_after)
     });
 
     assert!(!records.is_empty(), "readers never completed a query");
@@ -160,17 +173,20 @@ fn concurrent_readers_return_whole_epoch_answers() {
     }
     assert!(at_before > 0, "no reader ran before the update");
     assert!(at_after > 0, "no reader ran after the update");
-    // Stale failures are expected (readers overtaken mid-suite) but not
-    // required on a 1-CPU box; just make sure the counter is sane.
-    let _ = stale;
+    // With retain 0 refusals are expected (readers overtaken mid-suite) but
+    // not required on a 1-CPU box. Two commits stay inside any wider window.
+    if retain > 0 {
+        assert_eq!(refused, 0, "a writer evicted a reader inside the window");
+    }
 }
 
 #[test]
 fn query_with_retry_rides_through_concurrent_updates() {
-    // The serving idiom: a reader that auto-re-snapshots on StaleReader
-    // keeps answering while the owner updates, and never returns a
-    // mixed-epoch answer (the retry loop only ever swallows staleness).
-    let db = xmark_db(0.02, 2, 9);
+    // The serving idiom: a reader that auto-re-snapshots on
+    // RetentionExceeded keeps answering while the owner updates, and never
+    // returns a mixed-epoch answer (the retry loop only ever swallows
+    // staleness).
+    let db = xmark_db(0.02, 2, 9, DbConfig::default().epoch_retain);
     let db = RwLock::new(db);
     let done = AtomicBool::new(false);
     std::thread::scope(|scope| {
@@ -220,7 +236,7 @@ fn query_with_retry_rides_through_concurrent_updates() {
 fn readers_cache_refills_after_each_epoch() {
     // Same shape as above, single-threaded: prove the serving path re-warms
     // after invalidation and warm hits still do zero page I/O post-update.
-    let mut db = xmark_db(0.02, 2, 7);
+    let mut db = xmark_db(0.02, 2, 7, DbConfig::default().epoch_retain);
     let sec = Security::BindingLevel(SubjectId(1));
     let r0 = db.reader();
     let before = r0.query(SUITE[0], sec).unwrap();
@@ -309,12 +325,12 @@ mod interleavings {
                 map.set(SubjectId(0), secure_xml::xml::NodeId(p), true);
                 map.set(SubjectId(1), secure_xml::xml::NodeId(p), p % 3 != 0 || p == 0);
             }
-            // This model checks the *legacy* protocol (overtaken readers
-            // fail fast); the MVCC interleaving model with per-epoch
-            // oracles lives in tests/mvcc_ring.rs.
-            let cfg = secure_xml::DbConfig {
+            // Retain 0: every overtaken reader is refused. The model of a
+            // wider window, with per-epoch oracles, lives in
+            // tests/mvcc_ring.rs.
+            let cfg = DbConfig {
                 epoch_retain: 0,
-                ..secure_xml::DbConfig::default()
+                ..DbConfig::default()
             };
             let mut db = SecureXmlDb::with_config(doc, &map, cfg).unwrap();
             let sub = secure_xml::xml::parse("<parlist><listitem><keyword>z</keyword></listitem></parlist>").unwrap();
@@ -329,13 +345,14 @@ mod interleavings {
                         let fresh = reader.epoch() == db.epoch();
                         match reader.query(query, sec) {
                             Ok(r) => {
-                                prop_assert!(fresh, "stale reader returned Ok");
+                                prop_assert!(fresh, "overtaken reader returned Ok");
                                 let expect = db.query(query, sec).unwrap().matches;
                                 prop_assert_eq!(r.matches, expect);
                             }
-                            Err(DbError::StaleReader { seen, now }) => {
-                                prop_assert!(!fresh, "fresh reader reported stale");
+                            Err(DbError::RetentionExceeded { seen, oldest, now }) => {
+                                prop_assert!(!fresh, "fresh reader refused");
                                 prop_assert_eq!(seen, reader.epoch());
+                                prop_assert_eq!(oldest, db.epoch());
                                 prop_assert_eq!(now, db.epoch());
                             }
                             Err(e) => panic!("unexpected query error: {e}"),

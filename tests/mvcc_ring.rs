@@ -1,7 +1,8 @@
 //! MVCC epoch ring end-to-end: writers never evict readers.
 //!
-//! The contract (DESIGN.md §14): with `epoch_retain: N`, a [`DbReader`]
-//! pinned to any of the last `N + 1` committed epochs answers **exactly**
+//! The contract (DESIGN.md §14): with `epoch_retain: N` (`N = 0`
+//! included), a [`DbReader`] pinned to any of the last `N + 1` committed
+//! epochs answers **exactly**
 //! the sequential oracle of its own epoch, forever — concurrent solo
 //! commits, group-commit batches and codebook bumps notwithstanding. A
 //! reader that falls below the retention floor gets the typed
@@ -246,128 +247,132 @@ mod interleavings {
 
         #[test]
         fn every_pinned_reader_answers_its_own_epoch_or_fails_typed(steps in arb_steps()) {
-            let mut db = build(RETAIN);
-            let len = db.len() as u64;
-            let all_modes = modes();
-            // The model: one full oracle per committed epoch, plus the
-            // predicted retention floor (epoch minus the window size).
-            let mut oracles: HashMap<u64, HashMap<(usize, usize), Vec<u64>>> = HashMap::new();
-            oracles.insert(0, suite_oracle(&db));
-            let mut readers: Vec<secure_xml::DbReader> = Vec::new();
-            let pos_of = |seed: u16| 1 + u64::from(seed) % (len - 1);
+            // Retain 0 is the degenerate window: every commit retires the
+            // epoch it overtakes.
+            for retain in [0, RETAIN] {
+                let mut db = build(retain);
+                let len = db.len() as u64;
+                let all_modes = modes();
+                // The model: one full oracle per committed epoch, plus the
+                // predicted retention floor (epoch minus the window size).
+                let mut oracles: HashMap<u64, HashMap<(usize, usize), Vec<u64>>> = HashMap::new();
+                oracles.insert(0, suite_oracle(&db));
+                let mut readers: Vec<secure_xml::DbReader> = Vec::new();
+                let pos_of = |seed: u16| 1 + u64::from(seed) % (len - 1);
 
-            for step in steps {
-                match step {
-                    Step::Pin => {
-                        if readers.len() < 8 {
-                            readers.push(db.reader());
+                for step in steps.clone() {
+                    match step {
+                        Step::Pin => {
+                            if readers.len() < 8 {
+                                readers.push(db.reader());
+                            }
                         }
-                    }
-                    Step::Release(i) => {
-                        if !readers.is_empty() {
-                            let i = i as usize % readers.len();
-                            readers.swap_remove(i);
+                        Step::Release(i) => {
+                            if !readers.is_empty() {
+                                let i = i as usize % readers.len();
+                                readers.swap_remove(i);
+                            }
                         }
-                    }
-                    Step::Query(r, q, m) => {
-                        if readers.is_empty() {
-                            continue;
+                        Step::Query(r, q, m) => {
+                            if readers.is_empty() {
+                                continue;
+                            }
+                            let reader = &readers[r as usize % readers.len()];
+                            let query = SUITE[q as usize % SUITE.len()];
+                            let sec = all_modes[m as usize % all_modes.len()];
+                            let pin = reader.epoch();
+                            let floor = db.retention_floor();
+                            match reader.query(query, sec) {
+                                Ok(res) => {
+                                    prop_assert!(pin >= floor, "unservable pin answered");
+                                    let qi = q as usize % SUITE.len();
+                                    let mi = m as usize % all_modes.len();
+                                    prop_assert_eq!(
+                                        &res.matches,
+                                        &oracles[&pin][&(qi, mi)],
+                                        "epoch-{} reader diverged from its oracle", pin
+                                    );
+                                }
+                                Err(DbError::RetentionExceeded { seen, oldest, now }) => {
+                                    prop_assert!(pin < floor, "servable pin refused");
+                                    prop_assert_eq!(seen, pin);
+                                    prop_assert_eq!(oldest, floor);
+                                    prop_assert_eq!(now, db.epoch());
+                                }
+                                Err(e) => panic!("unexpected query error: {e}"),
+                            }
                         }
-                        let reader = &readers[r as usize % readers.len()];
-                        let query = SUITE[q as usize % SUITE.len()];
-                        let sec = all_modes[m as usize % all_modes.len()];
-                        let pin = reader.epoch();
-                        let floor = db.retention_floor();
-                        match reader.query(query, sec) {
-                            Ok(res) => {
-                                prop_assert!(pin >= floor, "unservable pin answered");
-                                let qi = q as usize % SUITE.len();
-                                let mi = m as usize % all_modes.len();
+                        Step::SetNode(p, s, allow) => {
+                            db.set_node_access(pos_of(p), SubjectId(u32::from(s)), allow).unwrap();
+                            oracles.insert(db.epoch(), suite_oracle(&db));
+                        }
+                        Step::SetSubtree(p, s, allow) => {
+                            db.set_subtree_access(pos_of(p), SubjectId(u32::from(s)), allow).unwrap();
+                            oracles.insert(db.epoch(), suite_oracle(&db));
+                        }
+                        Step::Batch(specs) => {
+                            let before = db.epoch();
+                            let members: Vec<UpdateFn> = specs
+                                .iter()
+                                .map(|&(p, fail)| {
+                                    let pos = pos_of(p);
+                                    let f: UpdateFn = if fail {
+                                        // Dirty a page, then fail: the member
+                                        // must be rolled back whole.
+                                        Box::new(move |d: &mut SecureXmlDb| {
+                                            d.set_node_access(pos, SubjectId(1), true)?;
+                                            d.set_node_access(1_000_000, SubjectId(1), true)
+                                        })
+                                    } else {
+                                        Box::new(move |d: &mut SecureXmlDb| {
+                                            d.set_node_access(pos, SubjectId(1), false)
+                                        })
+                                    };
+                                    f
+                                })
+                                .collect();
+                            let results = db.run_batch(&members).unwrap();
+                            prop_assert_eq!(results.len(), specs.len());
+                            for (spec, res) in specs.iter().zip(&results) {
                                 prop_assert_eq!(
-                                    &res.matches,
-                                    &oracles[&pin][&(qi, mi)],
-                                    "epoch-{} reader diverged from its oracle", pin
+                                    spec.1,
+                                    res.is_err(),
+                                    "member success must mirror its spec"
                                 );
                             }
-                            Err(DbError::RetentionExceeded { seen, oldest, now }) => {
-                                prop_assert!(pin < floor, "servable pin refused");
-                                prop_assert_eq!(seen, pin);
-                                prop_assert_eq!(oldest, floor);
-                                prop_assert_eq!(now, db.epoch());
-                            }
-                            Err(e) => panic!("unexpected query error: {e}"),
+                            prop_assert_eq!(db.epoch(), before + 1, "one epoch per batch");
+                            oracles.insert(db.epoch(), suite_oracle(&db));
+                        }
+                        Step::AddSubject => {
+                            db.add_subject(Some(SubjectId(0))).unwrap();
+                            oracles.insert(db.epoch(), suite_oracle(&db));
+                        }
+                        Step::Recover => {
+                            let before = db.epoch();
+                            db.recover().unwrap();
+                            prop_assert_eq!(db.epoch(), before, "healthy recover is a no-op");
                         }
                     }
-                    Step::SetNode(p, s, allow) => {
-                        db.set_node_access(pos_of(p), SubjectId(u32::from(s)), allow).unwrap();
-                        oracles.insert(db.epoch(), suite_oracle(&db));
-                    }
-                    Step::SetSubtree(p, s, allow) => {
-                        db.set_subtree_access(pos_of(p), SubjectId(u32::from(s)), allow).unwrap();
-                        oracles.insert(db.epoch(), suite_oracle(&db));
-                    }
-                    Step::Batch(specs) => {
-                        let before = db.epoch();
-                        let members: Vec<UpdateFn> = specs
-                            .iter()
-                            .map(|&(p, fail)| {
-                                let pos = pos_of(p);
-                                let f: UpdateFn = if fail {
-                                    // Dirty a page, then fail: the member
-                                    // must be rolled back whole.
-                                    Box::new(move |d: &mut SecureXmlDb| {
-                                        d.set_node_access(pos, SubjectId(1), true)?;
-                                        d.set_node_access(1_000_000, SubjectId(1), true)
-                                    })
-                                } else {
-                                    Box::new(move |d: &mut SecureXmlDb| {
-                                        d.set_node_access(pos, SubjectId(1), false)
-                                    })
-                                };
-                                f
-                            })
-                            .collect();
-                        let results = db.run_batch(&members).unwrap();
-                        prop_assert_eq!(results.len(), specs.len());
-                        for (spec, res) in specs.iter().zip(&results) {
-                            prop_assert_eq!(
-                                spec.1,
-                                res.is_err(),
-                                "member success must mirror its spec"
-                            );
-                        }
-                        prop_assert_eq!(db.epoch(), before + 1, "one epoch per batch");
-                        oracles.insert(db.epoch(), suite_oracle(&db));
-                    }
-                    Step::AddSubject => {
-                        db.add_subject(Some(SubjectId(0))).unwrap();
-                        oracles.insert(db.epoch(), suite_oracle(&db));
-                    }
-                    Step::Recover => {
-                        let before = db.epoch();
-                        db.recover().unwrap();
-                        prop_assert_eq!(db.epoch(), before, "healthy recover is a no-op");
-                    }
-                }
-                // The floor model: retain N keeps the last N+1 epochs.
-                prop_assert_eq!(
-                    db.retention_floor(),
-                    db.epoch().saturating_sub(RETAIN as u64),
-                    "floor diverged from the model"
-                );
-            }
-            // Terminal: a fresh reader agrees with the handle everywhere.
-            let fresh = db.reader();
-            for (qi, q) in SUITE.iter().enumerate() {
-                for (mi, sec) in all_modes.iter().enumerate() {
-                    let _ = (qi, mi);
+                    // The floor model: retain N keeps the last N+1 epochs.
                     prop_assert_eq!(
-                        fresh.query(q, *sec).unwrap().matches,
-                        db.query(q, *sec).unwrap().matches
+                        db.retention_floor(),
+                        db.epoch().saturating_sub(retain as u64),
+                        "floor diverged from the model"
                     );
                 }
+                // Terminal: a fresh reader agrees with the handle everywhere.
+                let fresh = db.reader();
+                for (qi, q) in SUITE.iter().enumerate() {
+                    for (mi, sec) in all_modes.iter().enumerate() {
+                        let _ = (qi, mi);
+                        prop_assert_eq!(
+                            fresh.query(q, *sec).unwrap().matches,
+                            db.query(q, *sec).unwrap().matches
+                        );
+                    }
+                }
+                db.store().check_integrity().unwrap();
             }
-            db.store().check_integrity().unwrap();
         }
     }
 }
